@@ -5,29 +5,33 @@ covariance C(theta) depends on hyperparameters with density p(theta):
 
     pi(x, theta) proportional to exp{f(x)} N(x | 0, C(theta)) p(theta).
 
+The family is the log-amplitude one, C(theta) = e^theta C0.  Every C(theta)
+shares the eigenbasis of C0, so C0 is decomposed once and a proposed theta
+only rescales its eigenvalues: O(n) arithmetic and no factorization.
+
 Two moves are provided.  The joint move updates (x, theta) together: it
 draws the noised-gradient auxiliary variable z at the current state, walks
-theta, rebuilds the spectral decomposition under the proposed theta, and
-proposes the latent state from the auxiliary-gradient kernel under the new
-covariance.  Its acceptance ratio factorizes into the usual latent ratio
-times an evidence ratio N(z | 0, C' + (delta/2) I) / N(z | 0, C + (delta/2) I)
-and the hyperparameter prior ratio.  The Gibbs move updates theta alone by
+theta, rescales the eigenvalues under the proposed theta, and proposes the
+latent state from the auxiliary-gradient kernel under the new covariance.
+Its acceptance ratio factorizes into the usual latent ratio times an
+evidence ratio N(z | 0, C' + (delta/2) I) / N(z | 0, C + (delta/2) I) and
+the hyperparameter prior ratio.  The Gibbs move updates theta alone by
 Metropolis-Hastings against N(x | 0, C(theta)) p(theta).
 
-With kappa = 0 the joint move skips the theta walk, the rebuild, and the
+With kappa = 0 the joint move skips the theta walk, the rescaling, and the
 evidence terms entirely, reproducing the fixed-covariance auxiliary
 gradient step bit for bit on a shared random stream.
 
-Each proposed theta costs exactly one eigendecomposition; fixed-theta runs
-perform none after initialization.
+A proposed theta costs no eigendecomposition: a joint move costs three
+matvecs and a Gibbs move one.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -93,10 +97,42 @@ class GaussianHyperPrior:
 
 @dataclass(frozen=True)
 class HyperModel:
-    """Covariance family C(theta) plus the hyperparameter prior."""
+    """The family C(theta) = e^theta[0] C0 plus the hyperparameter prior.
 
-    build_covariance: Callable[[np.ndarray], np.ndarray]
+    ``base`` is the decomposition of C0.  Every C(theta) is built on its
+    basis with rescaled eigenvalues, so no theta needs a factorization.
+    """
+
+    base: SpectralPrior
     prior: GaussianHyperPrior
+
+    def __post_init__(self):
+        if self.prior.mean.shape != (1,):
+            raise ValueError(
+                f"the log-amplitude family has one hyperparameter, got a prior of shape {self.prior.mean.shape}"
+            )
+
+    @classmethod
+    def from_covariance(cls, cov: np.ndarray, prior: GaussianHyperPrior) -> "HyperModel":
+        """Decompose the base covariance C0 once; see eigendecompose_covariance."""
+        return cls(base=eigendecompose_covariance(cov), prior=prior)
+
+    def covariance(self, theta: np.ndarray) -> SpectralPrior:
+        """Decomposition of C(theta): the base basis with eigenvalues scaled by e^theta[0].
+
+        At theta = 0 the scale is exactly 1.0, so the eigenvalues equal the
+        base ones bit for bit.  A theta whose scale, or any scaled
+        eigenvalue, is not finite and positive is a ValueError.
+        """
+        try:
+            scale = math.exp(theta[0])
+        except OverflowError:
+            scale = math.inf
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            eigenvalues = scale * self.base.eigenvalues
+        if not scale > 0.0 or not np.isfinite(eigenvalues).all():
+            raise ValueError(f"covariance scale e^theta = {scale:g} leaves the finite positive range")
+        return SpectralPrior(basis=self.base.basis, eigenvalues=eigenvalues)
 
 
 def log_evidence(z: np.ndarray, prior: SpectralPrior, delta: float, counter: OpCounter | None = None) -> float:
@@ -106,7 +142,11 @@ def log_evidence(z: np.ndarray, prior: SpectralPrior, delta: float, counter: OpC
     under the prior, the quantity whose ratio carries all theta dependence
     of the joint move beyond the latent factor.  Costs one matvec.
     """
-    uz = to_spectral(prior, z, counter)
+    return spectral_log_evidence(to_spectral(prior, z, counter), prior, delta)
+
+
+def spectral_log_evidence(uz: np.ndarray, prior: SpectralPrior, delta: float) -> float:
+    """log N(z | 0, C + (delta/2) I) from spectral coordinates uz = U^T z."""
     var = prior.eigenvalues + 0.5 * delta
     return float(-0.5 * np.sum(np.log(2.0 * math.pi * var) + uz**2 / var))
 
@@ -179,7 +219,7 @@ class HyperChain:
                 f"theta0 shape {self.theta.shape} does not match prior shape {self.model.prior.mean.shape}"
             )
         self.counter = counter if counter is not None else OpCounter()
-        self.prior = eigendecompose_covariance(model.build_covariance(self.theta), counter=self.counter)
+        self.prior = model.covariance(self.theta)
         self.ops = build_delta_operators(self.prior, delta)
         if x0 is None:
             x0 = np.zeros(self.prior.dimension)
@@ -211,12 +251,11 @@ class HyperChain:
 
 
 def _propose_theta(chain: HyperChain) -> tuple[np.ndarray, SpectralPrior | None, DeltaOperators | None]:
-    """Random-walk theta and decompose its covariance; None prior means reject."""
+    """Random-walk theta and rescale the eigenvalues; None prior means reject."""
     theta_prop = chain.theta + math.sqrt(chain.kappa) * chain.rng.standard_normal(chain.theta.shape[0])
     try:
-        cov = chain.model.build_covariance(theta_prop)
-        new_prior = eigendecompose_covariance(cov, counter=chain.counter)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        new_prior = chain.model.covariance(theta_prop)
+    except ValueError as exc:
         logger.warning("rejecting hyperparameter proposal %s: %s", theta_prop, exc)
         return theta_prop, None, None
     return theta_prop, new_prior, build_delta_operators(new_prior, chain.ops.delta)
@@ -225,13 +264,14 @@ def _propose_theta(chain: HyperChain) -> tuple[np.ndarray, SpectralPrior | None,
 def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
     """Propose (x, theta) together through the auxiliary variable z.
 
-    Draw z at the current state, walk theta, rebuild the decomposition for
-    the proposed covariance (exactly one factorization), propose the latent
-    state from the auxiliary-gradient kernel under the new covariance, and
-    accept both with the product of the latent ratio, the z-evidence ratio,
-    and the hyperparameter prior ratio.  With kappa = 0 the theta leg is
-    skipped and the move reduces to the plain latent step on an identical
-    random stream.
+    Draw z at the current state, walk theta, rescale the eigenvalues for
+    the proposed covariance (no factorization), propose the latent state
+    from the auxiliary-gradient kernel under the new covariance, and accept
+    both with the product of the latent ratio, the z-evidence ratio, and the
+    hyperparameter prior ratio.  Costs three matvecs: two for the proposal
+    and one U^T z that both evidence terms share.  With kappa = 0 the theta
+    leg is skipped and the move reduces to the plain latent step on an
+    identical random stream.
     """
     state = chain.state
     rng = chain.rng
@@ -246,9 +286,10 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
         y, f_y, grad_y, latent_ratio = propose_given_noised_gradient_aux(
             state, new_prior, new_ops, chain.target, rng, z
         )
+        uz = to_spectral(chain.prior, z, chain.counter)
         theta_ratio = (
-            log_evidence(z, new_prior, new_ops.delta, chain.counter)
-            - log_evidence(z, chain.prior, chain.ops.delta, chain.counter)
+            spectral_log_evidence(uz, new_prior, new_ops.delta)
+            - spectral_log_evidence(uz, chain.prior, chain.ops.delta)
             + chain.model.prior.logpdf(theta_prop)
             - chain.model.prior.logpdf(chain.theta)
         )
@@ -281,7 +322,8 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
 
     The latent state never moves here; proposals whose covariance loses the
     support of the current x are rejected through a -inf density rather
-    than raised.  Costs one factorization and two matvecs per proposal.
+    than raised.  Costs one matvec per proposal: both densities read the
+    same U^T x, since every C(theta) shares the basis.
     """
     state = chain.state
     if chain.kappa > 0.0:
@@ -289,8 +331,9 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
         if new_prior is None:
             chain.theta_step_count += 1
             return ThetaStepResult(False, theta_prop, 0.0, -math.inf)
-        lp_new = prior_state_logpdf(new_prior, to_spectral(new_prior, state.x, chain.counter))
-        lp_old = prior_state_logpdf(chain.prior, to_spectral(chain.prior, state.x, chain.counter))
+        ux = to_spectral(chain.prior, state.x, chain.counter)
+        lp_new = prior_state_logpdf(new_prior, ux)
+        lp_old = prior_state_logpdf(chain.prior, ux)
         theta_ratio = (
             lp_new - lp_old + chain.model.prior.logpdf(theta_prop) - chain.model.prior.logpdf(chain.theta)
         )
@@ -319,6 +362,8 @@ class HyperRunResult:
     latent_acceptance_rate: float
     theta_acceptance_rate: float
     counter: OpCounter
+    burn_in_seconds: float
+    collect_seconds: float
     warnings: list[str] = field(default_factory=list)
 
 
@@ -343,7 +388,8 @@ def run_hyper_chain(
     fixed forever.  ``burn_in`` and ``collect`` count sweeps; one (theta, x)
     sample is recorded per collected sweep.  During burn-in, delta adapts on
     the latent acceptances toward 0.55 and kappa on the theta-move
-    acceptances toward 0.25; both freeze afterwards.
+    acceptances toward 0.25; both freeze afterwards.  The result carries
+    the wall seconds of each phase.
     """
     if burn_in < MIN_BURN_IN:
         raise ValueError(f"burn_in must be at least {MIN_BURN_IN}, got {burn_in!r}")
@@ -375,8 +421,10 @@ def run_hyper_chain(
             adapt_step(kappa_ctl, result.accepted)
             chain.kappa = kappa_ctl.delta
 
+    t0 = time.perf_counter()
     for _ in range(burn_in):
         sweep(adapting=adapt)
+    burn_in_seconds = time.perf_counter() - t0
     delta_ctl.frozen = True
     if kappa_ctl is not None:
         kappa_ctl.frozen = True
@@ -387,10 +435,12 @@ def run_hyper_chain(
     chain.state.step_count = 0
     chain.theta_accept_count = 0
     chain.theta_step_count = 0
+    t0 = time.perf_counter()
     for t in range(collect):
         sweep(adapting=False)
         theta_samples[t] = chain.theta
         x_samples[t] = chain.state.x
+    collect_seconds = time.perf_counter() - t0
 
     run_warnings: list[str] = []
     rate = chain.state.acceptance_rate
@@ -404,5 +454,7 @@ def run_hyper_chain(
         latent_acceptance_rate=rate,
         theta_acceptance_rate=chain.theta_acceptance_rate,
         counter=chain.counter,
+        burn_in_seconds=burn_in_seconds,
+        collect_seconds=collect_seconds,
         warnings=run_warnings,
     )

@@ -373,10 +373,7 @@ def test_10_hyperparameter_posterior_recovery():
     if abs(quad_mean - (-0.201920)) > 2e-4:
         failures.append(f"quadrature oracle drifted: E[theta|y] = {quad_mean:.6f}, expected -0.201920")
 
-    model = HyperModel(
-        build_covariance=lambda theta: np.exp(theta[0]) * np.eye(1),
-        prior=GaussianHyperPrior(mean=np.zeros(1), variance=np.ones(1)),
-    )
+    model = HyperModel.from_covariance(np.eye(1), GaussianHyperPrior(mean=np.zeros(1), variance=np.ones(1)))
     target = GaussianRegression(np.array([y_obs]), noise)
     for mode_index, mode in enumerate(("joint", "gibbs")):
         means, variances = [], []
@@ -402,10 +399,7 @@ def test_10_hyperparameter_posterior_recovery():
 
     gen = np.random.default_rng(6)
     base = make_spd(8, gen, spread=4.0)
-    scaled_model = HyperModel(
-        build_covariance=lambda theta: np.exp(theta[0]) * base,
-        prior=GaussianHyperPrior.diffuse(1),
-    )
+    scaled_model = HyperModel.from_covariance(base, GaussianHyperPrior.diffuse(1))
     small_target = GaussianRegression(gen.standard_normal(8), 0.5)
     plain = Chain(
         SamplerKind.AGRAD_Z,

@@ -101,6 +101,14 @@ class TestConfigValidation:
         assert config.hyper_mode == "joint"
         assert config.hyper["kappa"] == 0.5
 
+    def test_theta0_holds_exactly_the_log_amplitude(self):
+        for theta0 in ([], [0.0, 1.0]):
+            raw = base_config(samplers=["agrad-z"], hyper={"mode": "joint", "theta0": theta0})
+            with pytest.raises(ConfigError, match="config.hyper.theta0"):
+                validate_config(raw)
+        raw = base_config(samplers=["agrad-z"], hyper={"mode": "joint", "theta0": [0.5]})
+        assert validate_config(raw).hyper["theta0"] == [0.5]
+
     def test_dataset_requires_kernel_for_regression(self, tmp_path):
         raw = base_config(dataset={"path": "d.csv"})
         del raw["simulate"]
@@ -301,6 +309,17 @@ class TestRunBenchmark:
         assert report.extra["theta_mean"] is not None
         single = result.runs[("aGrad-z", 0)]
         assert single.theta_samples.shape == (120, 1)
+
+    @pytest.mark.parametrize("mode", ["joint", "gibbs"])
+    def test_hyper_mode_shares_the_setup_decomposition(self, mode):
+        raw = base_config(samplers=["agrad-z"], seeds=[0], hyper={"mode": mode}, collect=120)
+        result = run_benchmark(validate_config(raw), threads=1, write=False)
+        (report,) = result.reports
+        assert report.error is None
+        assert report.factorizations == 0
+        assert result.meta["setup_factorizations"] == 1
+        assert report.burn_in_seconds > 0 and report.collect_seconds > 0
+        assert 1.0 <= report.extra["theta_ess"] <= 120
 
 
 class TestOutputs:

@@ -1,5 +1,6 @@
 """Hyperparameter learning tests: evidence terms, joint and Gibbs moves."""
 
+import logging
 import math
 
 import numpy as np
@@ -24,10 +25,7 @@ from conftest import make_singular_psd, make_spd
 
 def scaled_covariance_model(base_cov, prior_variance=100.0):
     """theta[0] is the log-amplitude of a fixed base covariance."""
-    return HyperModel(
-        build_covariance=lambda theta: math.exp(float(theta[0])) * base_cov,
-        prior=GaussianHyperPrior.diffuse(1, variance=prior_variance),
-    )
+    return HyperModel.from_covariance(base_cov, GaussianHyperPrior.diffuse(1, variance=prior_variance))
 
 
 class TestGaussianHyperPrior:
@@ -80,9 +78,9 @@ class TestEvidenceAndPriorDensity:
 class TestHyperChain:
     def make_setup(self, n=6, seed=21):
         gen = np.random.default_rng(seed)
-        base_cov = make_spd(n, gen, spread=3.0)
+        self.base_cov = make_spd(n, gen, spread=3.0)
         target = GaussianRegression(gen.standard_normal(n), 0.5)
-        return scaled_covariance_model(base_cov), target
+        return scaled_covariance_model(self.base_cov), target
 
     def test_validation(self, rng):
         model, target = self.make_setup()
@@ -97,14 +95,59 @@ class TestHyperChain:
     def test_theta_moves_and_counts(self, mode):
         model, target = self.make_setup()
         chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(5), mode=mode, kappa=0.25)
-        start_fact = chain.counter.factorizations
         for _ in range(60):
             chain.latent_step()
             chain.theta_step()
         assert chain.theta_step_count == 60
         assert 0 < chain.theta_acceptance_rate < 1
-        # every theta proposal decomposes exactly one candidate covariance
-        assert chain.counter.factorizations == start_fact + 60
+        # every theta proposal rescales the shared decomposition: no factorization
+        assert chain.counter.factorizations == 0
+
+    def test_covariance_rescales_the_shared_decomposition(self):
+        model, _ = self.make_setup()
+        at_zero = model.covariance(np.zeros(1))
+        assert at_zero.basis is model.base.basis
+        assert np.array_equal(at_zero.eigenvalues, model.base.eigenvalues)
+        # e^theta overflows, underflows to zero, or is NaN; or e^theta is finite and
+        # e^theta * gamma_max is not (gamma_max > 1 here)
+        finite_scale_overflowing_eigenvalue = math.log(np.finfo(float).max) - 0.5 * math.log(model.base.eigenvalues[0])
+        for theta in (800.0, -800.0, math.nan, finite_scale_overflowing_eigenvalue):
+            with pytest.raises(ValueError, match="scale"):
+                model.covariance(np.array([theta]))
+        with pytest.raises(ValueError, match="one hyperparameter"):
+            HyperModel(base=model.base, prior=GaussianHyperPrior.diffuse(2))
+
+    @pytest.mark.parametrize("mode, matvecs", [("joint", 3), ("gibbs", 1)])
+    def test_theta_move_matvecs(self, mode, matvecs):
+        model, target = self.make_setup()
+        chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(5), mode=mode, kappa=0.25)
+        for _ in range(20):
+            before = chain.counter.matvecs
+            chain.theta_step()
+            assert chain.counter.matvecs - before == matvecs
+
+    @pytest.mark.parametrize("mode", ["joint", "gibbs"])
+    def test_unrepresentable_scale_is_rejected(self, mode, caplog):
+        """A theta whose e^theta overflows or underflows to zero is a rejected
+        proposal, not an error, and leaves the chain where it was."""
+        model, target = self.make_setup()
+        chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(3), mode=mode, kappa=1e6)
+        overflows = underflows = 0
+        with caplog.at_level(logging.WARNING, logger="lgm.hyper"):
+            for _ in range(20):
+                before = (chain.theta, chain.prior, chain.ops, chain.state.x, chain.state.f_x, chain.state.grad_x)
+                caplog.clear()
+                result = chain.theta_step()
+                proposal = float(result.theta_proposal[0])
+                if -745.2 < proposal < 709.8:
+                    continue
+                overflows += proposal > 0
+                underflows += proposal < 0
+                assert not result.accepted and result.theta_log_ratio == -math.inf
+                after = (chain.theta, chain.prior, chain.ops, chain.state.x, chain.state.f_x, chain.state.grad_x)
+                assert all(a is b for a, b in zip(after, before))
+                assert "rejecting hyperparameter proposal" in caplog.text
+        assert overflows and underflows
 
     def test_degenerate_theta_move_matches_plain_latent_kernel(self):
         """With the theta leg disabled the joint move must reproduce the
@@ -114,7 +157,7 @@ class TestHyperChain:
 
         plain = Chain(
             SamplerKind.AGRAD_Z,
-            eigendecompose_covariance(model.build_covariance(np.zeros(1))),
+            eigendecompose_covariance(self.base_cov),
             target,
             np.random.default_rng(77),
             delta=delta,
@@ -136,7 +179,7 @@ class TestHyperChain:
             result = chain.theta_step()
             if result.accepted and not np.array_equal(result.theta_proposal, np.zeros(1)):
                 moved = True
-                expected = model.build_covariance(chain.theta)
+                expected = math.exp(chain.theta[0]) * self.base_cov
                 recon = (chain.prior.basis * chain.prior.eigenvalues) @ chain.prior.basis.T
                 np.testing.assert_allclose(recon, expected, atol=1e-8)
                 break
