@@ -64,8 +64,10 @@ from .samplers import (
 )
 from .spectral import (
     DeltaOperators,
+    DensePrior,
     OpCounter,
     SpectralPrior,
+    TorusPrior,
     build_delta_operators,
     eigendecompose_covariance,
     shrinkage_maps,
@@ -75,6 +77,7 @@ from .targets import (
     CategoricalSoftmax,
     ConstantTarget,
     GaussianRegression,
+    GridKernel,
     PoissonCounts,
     TargetModel,
     grid_exponential_kernel,
@@ -94,11 +97,13 @@ __all__ = [
     "ConstantTarget",
     "DatasetBundle",
     "DeltaOperators",
+    "DensePrior",
     "DISPLAY_NAMES",
     "ExperimentConfig",
     "GaussianHyperPrior",
     "GaussianRegression",
     "Grid1D",
+    "GridKernel",
     "HyperChain",
     "HyperModel",
     "MATVEC_BUDGET",
@@ -111,6 +116,7 @@ __all__ = [
     "StepResult",
     "TABLE_COLUMNS",
     "TargetModel",
+    "TorusPrior",
     "TuneResult",
     "adapt_step",
     "aggregate_reports",

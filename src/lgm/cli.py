@@ -32,13 +32,13 @@ from .harness import (
     parse_config,
     resolve_dataset,
     run_benchmark,
+    shared_prior,
     simulate_dataset,
     validate_simulate_spec,
     write_dataset,
 )
 from .oracle import run_validation_suite
 from .samplers import Chain
-from .spectral import eigendecompose_covariance
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,14 +144,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    bundle = resolve_dataset(config)
-    jitter = (config.kernel or {}).get("jitter", 0.0)
-    prior = eigendecompose_covariance(bundle.covariance, jitter=jitter)
+    prior, target = shared_prior(config, resolve_dataset(config))
     rows = []
     for kind in config.samplers:
         for seed in config.seeds:
             rng = np.random.default_rng([seed, KIND_STREAM_INDEX[kind]])
-            chain = Chain(kind, prior, bundle.target, rng)
+            chain = Chain(kind, prior, target, rng)
             tune = tune_and_freeze(chain, config.burn_in)
             rows.append(
                 {

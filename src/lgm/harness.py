@@ -36,14 +36,14 @@ from .hyper import (
     run_hyper_chain,
 )
 from .samplers import DISPLAY_NAMES, Chain, SamplerKind
-from .spectral import OpCounter, SpectralPrior, eigendecompose_covariance
+from .spectral import OpCounter, SpectralPrior, TorusPrior, eigendecompose_covariance
 from .targets import (
     BernoulliLogit,
     CategoricalSoftmax,
     GaussianRegression,
+    GridKernel,
     PoissonCounts,
     TargetModel,
-    grid_exponential_kernel,
     squared_exponential_kernel,
 )
 
@@ -393,7 +393,11 @@ def validate_kernel_spec(spec: dict, path: str = "kernel") -> dict:
 
 @dataclass
 class DatasetBundle:
-    """A resolved dataset: target model, prior covariance, provenance manifest."""
+    """A resolved dataset: target model, prior covariance, provenance manifest.
+
+    A grid Cox dataset also carries its kernel as a ``GridKernel`` (``grid``),
+    from which ``covariance`` was built.
+    """
 
     model: str
     target: TargetModel
@@ -401,6 +405,7 @@ class DatasetBundle:
     manifest: dict
     inputs: np.ndarray | None = None
     observations: np.ndarray | None = None
+    grid: GridKernel | None = None
 
 
 def simulate_dataset(model: str, spec: dict, rng: np.random.Generator | None = None) -> DatasetBundle:
@@ -414,7 +419,8 @@ def simulate_dataset(model: str, spec: dict, rng: np.random.Generator | None = N
 
     if model == "cox":
         side = spec["side"]
-        cov = grid_exponential_kernel(side, spec["amplitude"], spec["beta"], scale=spec["scale_divisor"])
+        grid = GridKernel(side, spec["amplitude"], spec["beta"], spec["scale_divisor"])
+        cov = grid.matrix()
         offset = math.log(spec["mean_count"]) - 0.5 * spec["amplitude"]
         exposure = 1.0 / side**2
         latent = _draw_from_prior(cov, rng)
@@ -426,7 +432,7 @@ def simulate_dataset(model: str, spec: dict, rng: np.random.Generator | None = N
             "cell_area": exposure,
         }
         target = PoissonCounts(counts, exposure=exposure, offset=offset)
-        return DatasetBundle(model, target, cov, manifest, observations=counts)
+        return DatasetBundle(model, target, cov, manifest, observations=counts, grid=grid)
 
     lo, hi = spec["input_range"]
     inputs = np.linspace(lo, hi, spec["n"])
@@ -520,11 +526,11 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
         exposure = likelihood.get("exposure", manifest.get("cell_area", 1.0 / side**2))
         default_offset = math.log(DEFAULT_COX_MEAN_COUNT) - 0.5 * amplitude
         offset = likelihood.get("offset", manifest.get("offset", default_offset))
-        cov = grid_exponential_kernel(side, amplitude, beta, scale=scale)
+        grid = GridKernel(side, amplitude, beta, scale)
         target = PoissonCounts(counts, exposure=exposure, offset=offset)
         meta = {"model": model, "side": side, "beta": beta, "amplitude": amplitude,
                 "scale_divisor": scale, "cell_area": exposure, "offset": offset, "source": str(path)}
-        return DatasetBundle(model, target, cov, meta, observations=counts)
+        return DatasetBundle(model, target, grid.matrix(), meta, observations=counts, grid=grid)
 
     rows = np.genfromtxt(path, delimiter=",", names=True)
     if rows.dtype.names is None or "input" not in rows.dtype.names:
@@ -559,29 +565,35 @@ def resolve_dataset(config: ExperimentConfig) -> DatasetBundle:
         bundle = simulate_dataset(config.model, config.simulate)
         if config.kernel is not None:
             # inference kernel may deviate from the generative one
+            covariance, grid = _kernel_covariance(config.kernel, bundle)
             bundle = DatasetBundle(
                 model=bundle.model,
                 target=bundle.target,
-                covariance=_kernel_covariance(config.kernel, bundle),
+                covariance=covariance,
                 manifest={**bundle.manifest, "kernel": config.kernel},
                 inputs=bundle.inputs,
                 observations=bundle.observations,
+                grid=grid,
             )
         return bundle
     return load_dataset(config.model, config.dataset_path, config.kernel, config.likelihood)
 
 
-def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> np.ndarray:
+def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> tuple[np.ndarray, GridKernel | None]:
+    """The covariance of a kernel spec, and its GridKernel for a grid kernel."""
     if kernel["type"] == "squared_exponential":
         if bundle.inputs is None:
             raise ConfigError("squared_exponential kernel requires input locations")
         cov = squared_exponential_kernel(bundle.inputs, variance=kernel["amplitude"], lengthscale2=kernel["lengthscale2"])
         if bundle.model == "multiclass":
             cov = np.kron(np.eye(bundle.target.dimension // cov.shape[0]), cov)
-        return cov
+        return cov, None
     side = kernel.get("side") or int(math.isqrt(bundle.target.dimension))
+    if side * side != bundle.target.dimension:
+        raise ConfigError(f"config.kernel: a {side}x{side} grid does not fit the dataset's {bundle.target.dimension} cells")
     scale = kernel.get("scale_divisor") or float(side)
-    return grid_exponential_kernel(side, kernel["amplitude"], kernel["beta"], scale=scale)
+    grid = GridKernel(side, kernel["amplitude"], kernel["beta"], scale)
+    return grid.matrix(), grid
 
 
 def resolve_threads(cli_value: int | None = None) -> int:
@@ -742,14 +754,13 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Execute every (sampler, seed) cell of a benchmark config.
 
-    The covariance is decomposed once and shared read-only; each run owns
-    its chain, RNG and counters, and failures are captured in that run's
-    report row without disturbing the others.
+    The covariance is decomposed once (``shared_prior``) and shared
+    read-only; each run owns its chain, RNG and counters, and failures are
+    captured in that run's report row without disturbing the others.
     """
     bundle = resolve_dataset(config)
-    jitter = (config.kernel or {}).get("jitter", 0.0)
     setup_counter = OpCounter()
-    prior = eigendecompose_covariance(bundle.covariance, jitter=jitter, counter=setup_counter)
+    prior, target = shared_prior(config, bundle, setup_counter)
 
     if config.hyper_mode == "fixed":
         jobs = [(kind, seed) for kind in config.samplers for seed in config.seeds]
@@ -758,7 +769,7 @@ def run_benchmark(
             kind, seed = job
             try:
                 return job, benchmark_single(
-                    kind, prior, bundle.target, seed, config.burn_in, config.collect, config.thin, keep_samples
+                    kind, prior, target, seed, config.burn_in, config.collect, config.thin, keep_samples
                 )
             except Exception as exc:  # isolate run failures
                 logger.exception("run (%s, seed %s) failed", kind.value, seed)
@@ -792,6 +803,8 @@ def run_benchmark(
         "schema_version": REPORT_SCHEMA_VERSION,
         "model": config.model,
         "dimension": bundle.target.dimension,
+        "prior": "torus {}x{}".format(*prior.torus_shape) if isinstance(prior, TorusPrior) else "dense",
+        "torus_eigenvalue_ratio": _torus_eigenvalue_ratio(config, bundle),
         "setup_factorizations": setup_counter.factorizations,
         "threads": n_threads,
         "hyper": config.hyper if config.hyper_mode != "fixed" else None,
@@ -808,6 +821,42 @@ def run_benchmark(
     if write and config.out is not None:
         write_benchmark_outputs(result, config.out, traces=keep_samples)
     return result
+
+
+def shared_prior(
+    config: ExperimentConfig, bundle: DatasetBundle, counter: OpCounter | None = None
+) -> tuple[SpectralPrior, TargetModel]:
+    """The decomposition every job of a config shares, and the target its chains run on.
+
+    Fixed-hyperparameter grid Cox configs hand the grid kernel to
+    ``eigendecompose_covariance``, which embeds it in a torus of twice the
+    side when that embedding is PSD.  Their likelihood then covers the torus
+    field, with zero counts and zero exposure on the padding cells, so the
+    posterior of the observed cells is unchanged; chains record only those.
+    Hyperparameter mode stays dense: the padding cells' prior terms would
+    enter theta's conditional given x and slow theta's mixing.
+    """
+    jitter = (config.kernel or {}).get("jitter", 0.0)
+    grid = _torus_candidate(config, bundle)
+    prior = eigendecompose_covariance(grid or bundle.covariance, jitter=jitter, counter=counter)
+    if not isinstance(prior, TorusPrior):
+        return prior, bundle.target
+    target = bundle.target
+    exposure = prior.embed(np.broadcast_to(target.exposure, target.counts.shape))
+    return prior, PoissonCounts(prior.embed(target.counts), exposure=exposure, offset=target.offset)
+
+
+def _torus_candidate(config: ExperimentConfig, bundle: DatasetBundle) -> GridKernel | None:
+    return bundle.grid if config.model == "cox" and config.hyper_mode == "fixed" else None
+
+
+def _torus_eigenvalue_ratio(config: ExperimentConfig, bundle: DatasetBundle) -> float | None:
+    """Smallest over largest torus eigenvalue of C + jitter I, where the torus was tried."""
+    grid = _torus_candidate(config, bundle)
+    if grid is None:
+        return None
+    eigenvalues = grid.torus_eigenvalues + (config.kernel or {}).get("jitter", 0.0)
+    return float(eigenvalues.min() / eigenvalues.max())
 
 
 def _failure_report(method: str, seed: int, exc: Exception) -> RunReport:

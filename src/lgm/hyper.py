@@ -28,6 +28,7 @@ matvecs and a Gibbs move one.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -132,7 +133,7 @@ class HyperModel:
             eigenvalues = scale * self.base.eigenvalues
         if not scale > 0.0 or not np.isfinite(eigenvalues).all():
             raise ValueError(f"covariance scale e^theta = {scale:g} leaves the finite positive range")
-        return SpectralPrior(basis=self.base.basis, eigenvalues=eigenvalues)
+        return dataclasses.replace(self.base, eigenvalues=eigenvalues)
 
 
 def log_evidence(z: np.ndarray, prior: SpectralPrior, delta: float, counter: OpCounter | None = None) -> float:
@@ -389,7 +390,8 @@ def run_hyper_chain(
     sample is recorded per collected sweep.  During burn-in, delta adapts on
     the latent acceptances toward 0.55 and kappa on the theta-move
     acceptances toward 0.25; both freeze afterwards.  The result carries
-    the wall seconds of each phase.
+    the wall seconds of each phase, and its counter covers the collect
+    phase only, like ``harness.benchmark_single``.
     """
     if burn_in < MIN_BURN_IN:
         raise ValueError(f"burn_in must be at least {MIN_BURN_IN}, got {burn_in!r}")
@@ -435,6 +437,7 @@ def run_hyper_chain(
     chain.state.step_count = 0
     chain.theta_accept_count = 0
     chain.theta_step_count = 0
+    chain.counter.reset()
     t0 = time.perf_counter()
     for t in range(collect):
         sweep(adapting=False)

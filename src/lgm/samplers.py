@@ -610,14 +610,19 @@ class Chain:
         return accepted
 
     def sample(self, n_samples: int, thin: int = 1) -> np.ndarray:
-        """Collect n_samples states, keeping every ``thin``-th transition."""
+        """Collect n_samples states, keeping every ``thin``-th transition.
+
+        Only the prior's observed cells are recorded (all of x for a dense
+        prior), so a padded field never fills a buffer.
+        """
         if thin < 1:
             raise ValueError(f"thin must be at least 1, got {thin!r}")
-        out = np.empty((n_samples, self.prior.dimension))
+        observed = self.prior.observed
+        out = np.empty((n_samples, self.prior.observed_dimension))
         for i in range(n_samples):
             for _ in range(thin):
                 self.step()
-            out[i] = self.state.x
+            out[i] = observed(self.state.x)
         return out
 
 
@@ -632,6 +637,8 @@ def check_state_coherence(
     """Recompute every populated cache from x and compare.
 
     Debugging aid used by the test suite; raises AssertionError on drift.
+    The spectral caches are recomputed through ``to_spectral`` and
+    ``from_spectral``, so any prior's transforms are checked the same way.
     """
     if isinstance(chain_or_state, Chain):
         state = chain_or_state.state
@@ -645,10 +652,12 @@ def check_state_coherence(
     scale = max(1.0, abs(state.f_x))
     assert abs(f - state.f_x) <= atol * scale, "cached f(x) is stale"
     assert np.allclose(g, state.grad_x, atol=atol), "cached grad f(x) is stale"
+    ux = to_spectral(prior, state.x)
+    ugrad = to_spectral(prior, state.grad_x)
     if state.ux is not None:
-        assert np.allclose(prior.basis.T @ state.x, state.ux, atol=atol), "cached U^T x is stale"
+        assert np.allclose(ux, state.ux, atol=atol), "cached U^T x is stale"
     if state.ugrad_x is not None:
-        assert np.allclose(prior.basis.T @ state.grad_x, state.ugrad_x, atol=atol), "cached U^T grad is stale"
+        assert np.allclose(ugrad, state.ugrad_x, atol=atol), "cached U^T grad is stale"
     if state.prop_mean_spec is not None:
         expect = ops.aux_var * ((2.0 / ops.delta) * state.ux + state.ugrad_x)
         assert np.allclose(expect, state.prop_mean_spec, atol=atol), "cached proposal mean is stale"
@@ -656,11 +665,11 @@ def check_state_coherence(
         expect = ops.aux_var * ((2.0 / ops.delta) * state.ux + 0.5 * state.ugrad_x)
         assert np.allclose(expect, state.ratio_anchor_spec, atol=atol), "cached ratio anchor is stale"
     if state.gamma_ugrad_x is not None:
-        expect = prior.eigenvalues * (prior.basis.T @ state.grad_x)
+        expect = prior.eigenvalues * ugrad
         assert np.allclose(expect, state.gamma_ugrad_x, atol=atol), "cached C-weighted gradient is stale"
     if state.grad_quad_x is not None:
-        expect = float(state.grad_x @ (prior.basis @ (prior.eigenvalues * (prior.basis.T @ state.grad_x))))
+        expect = float(state.grad_x @ from_spectral(prior, prior.eigenvalues * ugrad))
         assert abs(expect - state.grad_quad_x) <= atol * max(1.0, abs(expect)), "cached grad^T C grad is stale"
     if state.prior_quad_x is not None:
-        expect = prior_quad_form(prior, prior.basis.T @ state.x)
+        expect = prior_quad_form(prior, ux)
         assert abs(expect - state.prior_quad_x) <= atol * max(1.0, abs(expect)), "cached prior quadratic form is stale"

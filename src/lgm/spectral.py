@@ -4,11 +4,17 @@ Every sampler in this package targets a density of the form
 
     pi(x) proportional to exp{f(x)} N(x | 0, C)
 
-and works in the eigenbasis of the prior covariance C = U diag(gamma) U^T.
-The decomposition is computed once per covariance (O(n^3)); afterwards each
-transition costs a fixed number of basis multiplications (O(n^2) each) plus
+and works in an orthonormal eigenbasis of the prior covariance
+C = U diag(gamma) U^T.  A prior is its eigenvalues plus the two basis
+transforms U^T v and U w; each transition costs a fixed number of them plus
 O(n) diagonal arithmetic.  Changing the step size delta never touches the
 basis: it only rebuilds O(n) diagonal vectors, and only those a kernel reads.
+
+Two priors implement the transforms.  ``DensePrior`` holds U from one
+O(n^3) eigendecomposition, and each transform is an O(n^2) matvec.
+``TorusPrior`` embeds a grid covariance in a circulant one on a torus of
+twice the side, whose eigenbasis is the 2-D Hartley transform: no
+factorization, and each transform is an O(n log n) FFT.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
+
+from .targets import GridKernel
 
 # Eigenvalues of a PSD covariance may come out of LAPACK slightly negative.
 # Values in [EIG_CLAMP_FLOOR * gamma_max, 0) are clamped to zero; anything
@@ -38,9 +47,10 @@ NULL_REL_TOL = 1e-10
 class OpCounter:
     """Running totals of the expensive linear algebra a chain performs.
 
-    ``matvecs`` counts dense n x n basis multiplications, ``factorizations``
-    counts eigendecompositions.  Fixed-hyperparameter runs must show zero
-    factorizations after initialization.
+    ``matvecs`` counts basis transforms (``to_spectral``/``from_spectral``
+    calls), ``factorizations`` counts prior decompositions.
+    Fixed-hyperparameter runs must show zero factorizations after
+    initialization.
     """
 
     matvecs: int = 0
@@ -53,20 +63,34 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class SpectralPrior:
-    """Eigendecomposition C = basis @ diag(eigenvalues) @ basis.T.
+    """A prior covariance C = U diag(eigenvalues) U^T with orthonormal U.
 
-    ``basis`` has orthonormal columns; ``eigenvalues`` is nonnegative and
-    sorted in descending order.  Exact zeros mark prior null directions.
-    The derived vectors below are computed on first use and cached
-    read-only, since every transition reads them.
+    Subclasses give the basis transforms: ``transform(v)`` is U^T v and
+    ``inverse_transform(w)`` is U w.  ``eigenvalues`` is nonnegative; exact
+    zeros mark prior null directions.  The latent field may hold cells the
+    data never see: ``observed(x)`` returns the ones a chain records.  The
+    derived vectors below are computed on first use and cached read-only,
+    since every transition reads them.
     """
 
-    basis: np.ndarray
     eigenvalues: np.ndarray
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def observed_dimension(self) -> int:
+        return self.dimension
+
+    def observed(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def inverse_transform(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     @cached_property
     def sqrt_eigenvalues(self) -> np.ndarray:
@@ -76,7 +100,7 @@ class SpectralPrior:
     def null_mask(self) -> np.ndarray:
         """Eigendirections at or below NULL_REL_TOL * gamma_max (prior null space)."""
         gamma = self.eigenvalues
-        tol = NULL_REL_TOL * max(gamma[0], 0.0) if gamma.size else 0.0
+        tol = NULL_REL_TOL * max(gamma.max(), 0.0) if gamma.size else 0.0
         return _read_only(gamma <= tol)
 
     @cached_property
@@ -93,24 +117,95 @@ class SpectralPrior:
         return _read_only(self.eigenvalues[self.range_index])
 
 
+@dataclass(frozen=True)
+class DensePrior(SpectralPrior):
+    """Eigendecomposition C = basis @ diag(eigenvalues) @ basis.T.
+
+    ``basis`` has orthonormal columns; ``eigenvalues`` is sorted in
+    descending order.
+    """
+
+    basis: np.ndarray
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        return self.basis.T @ v
+
+    def inverse_transform(self, w: np.ndarray) -> np.ndarray:
+        return self.basis @ w
+
+
+@dataclass(frozen=True)
+class TorusPrior(SpectralPrior):
+    """Circulant covariance of a field on a (2 side, 2 side) torus.
+
+    The field is flattened row-major; its leading side x side block holds
+    the observed grid, and the other 3 side^2 cells pad it.  The basis is
+    the orthonormal 2-D Hartley transform H v = Re F v - Im F v, with F the
+    unitary 2-D DFT.  H is symmetric and its own inverse, so both transforms
+    are the same function.  ``eigenvalues`` are in ``fft2`` frequency order.
+    """
+
+    side: int
+
+    @property
+    def torus_shape(self) -> tuple[int, int]:
+        return (2 * self.side, 2 * self.side)
+
+    @property
+    def observed_dimension(self) -> int:
+        return self.side * self.side
+
+    def observed(self, x: np.ndarray) -> np.ndarray:
+        """The observed cells of a torus field, flattened row-major."""
+        return x.reshape(self.torus_shape)[: self.side, : self.side].reshape(-1)
+
+    def embed(self, v: np.ndarray) -> np.ndarray:
+        """A torus field holding v on the observed cells and zero on the padding."""
+        out = np.zeros(self.torus_shape)
+        out[: self.side, : self.side] = np.reshape(v, (self.side, self.side))
+        return out.reshape(-1)
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        f = scipy.fft.fft2(v.reshape(self.torus_shape), norm="ortho")
+        return (f.real - f.imag).reshape(-1)
+
+    inverse_transform = transform
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 def eigendecompose_covariance(
-    cov: np.ndarray,
+    cov: np.ndarray | GridKernel,
     jitter: float = 0.0,
     counter: OpCounter | None = None,
 ) -> SpectralPrior:
     """Decompose a symmetric PSD covariance into a SpectralPrior.
 
-    The input is symmetrized before factorization; an asymmetry larger than
-    1e-8 relative to the largest entry is an error, as is any eigenvalue
-    below -1e-6 * gamma_max.  Slightly negative eigenvalues (down to
-    -1e-10 * gamma_max) are clamped to zero so that degenerate priors are
-    representable.  ``jitter`` adds jitter * I before decomposing.
+    A matrix gives a DensePrior.  It is symmetrized before factorization;
+    an asymmetry larger than 1e-8 relative to the largest entry is an error,
+    as is any eigenvalue below -1e-6 * gamma_max.  Slightly negative
+    eigenvalues (down to -1e-10 * gamma_max) are clamped to zero so that
+    degenerate priors are representable.  ``jitter`` adds jitter * I before
+    decomposing.
+
+    A GridKernel gives a TorusPrior when its torus embedding, plus jitter,
+    is PSD: no eigenvalue below -1e-10 * gamma_max, so that clamping cannot
+    change the covariance of the observed cells by more than roundoff.
+    Otherwise its dense matrix is decomposed.  Either way the counter
+    records one factorization.
     """
+    if isinstance(cov, GridKernel):
+        eigvals = cov.torus_eigenvalues + jitter
+        gamma_max = max(eigvals.max(), 0.0)
+        if eigvals.min() >= -EIG_CLAMP_FLOOR * gamma_max:
+            if counter is not None:
+                counter.factorizations += 1
+            return TorusPrior(eigenvalues=_zero_null(eigvals, gamma_max), side=cov.side)
+        cov = cov.matrix()
+
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
@@ -144,17 +239,19 @@ def eigendecompose_covariance(
             f"covariance is not positive semidefinite: smallest eigenvalue "
             f"{eigvals[-1]:.3e} is below {floor:.3e}"
         )
-    # Everything at or below the null tolerance becomes an exact zero: the
-    # pseudo-inverse density already ignores those directions, so the
-    # proposals must not inject noise into them either.
-    eigvals = np.where(eigvals > NULL_REL_TOL * gamma_max, eigvals, 0.0)
-
-    prior = SpectralPrior(basis=eigvecs, eigenvalues=eigvals)
+    prior = DensePrior(eigenvalues=_zero_null(eigvals, gamma_max), basis=eigvecs)
     _check_decomposition(sym, prior)
     return prior
 
 
-def _check_decomposition(cov: np.ndarray, prior: SpectralPrior) -> None:
+def _zero_null(eigvals: np.ndarray, gamma_max: float) -> np.ndarray:
+    # Everything at or below the null tolerance becomes an exact zero: the
+    # pseudo-inverse density already ignores those directions, so the
+    # proposals must not inject noise into them either.
+    return np.where(eigvals > NULL_REL_TOL * gamma_max, eigvals, 0.0)
+
+
+def _check_decomposition(cov: np.ndarray, prior: DensePrior) -> None:
     n = prior.dimension
     gram = prior.basis.T @ prior.basis
     ortho_err = np.abs(gram - np.eye(n)).max()
@@ -171,17 +268,17 @@ def _check_decomposition(cov: np.ndarray, prior: SpectralPrior) -> None:
 
 
 def to_spectral(prior: SpectralPrior, v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Return basis.T @ v and count one matvec."""
+    """Return U^T v and count one matvec."""
     if counter is not None:
         counter.matvecs += 1
-    return prior.basis.T @ v
+    return prior.transform(v)
 
 
 def from_spectral(prior: SpectralPrior, w: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Return basis @ w and count one matvec."""
+    """Return U w and count one matvec."""
     if counter is not None:
         counter.matvecs += 1
-    return prior.basis @ w
+    return prior.inverse_transform(w)
 
 
 class DeltaOperators:

@@ -11,8 +11,11 @@ with exactly the arithmetic of ``evaluate``, so the two agree bit for bit.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 from scipy.special import expit, logsumexp
 
 
@@ -99,9 +102,14 @@ class PoissonCounts(TargetModel):
     cell area and ``offset`` the constant log-intensity shift.  Counts are
     stored flattened in row-major order.  The Poisson y! normalizer is
     dropped; it does not depend on x.
+
+    ``exposure`` is one positive number for every cell, or one nonnegative
+    number per cell.  A cell of zero exposure must hold zero counts; its
+    f-term and gradient are zero, so f does not depend on it.  Such cells
+    pad a grid to a larger latent field (see ``lgm.spectral.TorusPrior``).
     """
 
-    def __init__(self, counts: np.ndarray, exposure: float, offset: float):
+    def __init__(self, counts: np.ndarray, exposure: float | np.ndarray, offset: float):
         counts = np.asarray(counts, dtype=float)
         if counts.ndim == 2:
             counts = counts.reshape(-1)
@@ -109,10 +117,18 @@ class PoissonCounts(TargetModel):
             raise ValueError(f"counts must be a vector or matrix, got shape {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        if exposure <= 0.0:
-            raise ValueError(f"exposure must be positive, got {exposure!r}")
+        if np.ndim(exposure) == 0:
+            if exposure <= 0.0:
+                raise ValueError(f"exposure must be positive, got {exposure!r}")
+            exposure = float(exposure)
+        else:
+            exposure = np.asarray(exposure, dtype=float).reshape(-1)
+            if exposure.shape != counts.shape or (exposure < 0).any():
+                raise ValueError(f"per-cell exposure must be nonnegative with shape {counts.shape}")
+            if (counts[exposure == 0.0] > 0).any():
+                raise ValueError("a cell of zero exposure cannot hold counts")
         self.counts = counts
-        self.exposure = float(exposure)
+        self.exposure = exposure
         self.offset = float(offset)
         self.dimension = counts.shape[0]
 
@@ -204,3 +220,41 @@ def grid_exponential_kernel(
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     return variance * np.exp(-dist / (scale * beta))
+
+
+@dataclass(frozen=True)
+class GridKernel:
+    """``grid_exponential_kernel(side, variance, beta, scale)`` as a description.
+
+    ``matrix()`` builds the dense (side^2, side^2) covariance.
+    ``torus_eigenvalues`` embeds the grid in a (2 side, 2 side) torus whose
+    distances wrap around; the leading side x side block of the torus
+    covariance is exactly ``matrix()``, because no two grid cells are more
+    than side - 1 apart along an axis.
+    """
+
+    side: int
+    variance: float
+    beta: float
+    scale: float
+
+    def matrix(self) -> np.ndarray:
+        return grid_exponential_kernel(self.side, self.variance, self.beta, self.scale)
+
+    @cached_property
+    def torus_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the circulant torus covariance, in ``fft2`` frequency order, flattened.
+
+        They are the 2-D Fourier transform of the covariance of torus cell
+        (0, 0) with every cell.  That row is symmetric under
+        (i, j) -> (-i, -j), so its transform is real.  Some eigenvalues may
+        be negative: the embedding is then not a covariance, and the caller
+        must use the dense one.
+        """
+        t = 2 * self.side
+        wrapped = np.minimum(np.arange(t), t - np.arange(t)).astype(float)
+        dist = np.sqrt(wrapped[:, None] ** 2 + wrapped[None, :] ** 2)
+        row = self.variance * np.exp(-dist / (self.scale * self.beta))
+        eigenvalues = scipy.fft.fft2(row).real.reshape(-1).copy()
+        eigenvalues.flags.writeable = False
+        return eigenvalues

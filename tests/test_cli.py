@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lgm.cli import build_parser, main
+from lgm.harness import run_benchmark, validate_config
 
 
 def write_json(path, payload):
@@ -110,6 +111,15 @@ class TestTuneCommand:
         lines = (out_dir / "tuning.csv").read_text().splitlines()
         assert lines[0] == "method,seed,delta,acceptance_rate,warning"
         assert lines[1].startswith("mgrad,0,")
+
+    def test_cox_tunes_the_chain_that_run_tunes(self, tmp_path):
+        config = tiny_run_config(tmp_path, model="cox", simulate={"side": 6, "seed": 2}, samplers=["mgrad"])
+        out_dir = tmp_path / "tuned"
+        assert main(["tune", str(config), "--out", str(out_dir)]) == 0
+        tuned = float((out_dir / "tuning.csv").read_text().splitlines()[1].split(",")[2])
+        raw = json.loads(config.read_text())
+        (report,) = run_benchmark(validate_config(raw), threads=1, write=False).reports
+        assert tuned == report.delta
 
 
 class TestValidateCommand:

@@ -27,8 +27,8 @@ from lgm.harness import (
     write_benchmark_outputs,
     write_dataset,
 )
-from lgm.samplers import MATVEC_BUDGET, SamplerKind
-from lgm.spectral import eigendecompose_covariance
+from lgm.samplers import DISPLAY_NAMES, MATVEC_BUDGET, SamplerKind
+from lgm.spectral import TorusPrior, eigendecompose_covariance
 from lgm.targets import GaussianRegression
 
 from conftest import make_spd
@@ -320,6 +320,83 @@ class TestRunBenchmark:
         assert result.meta["setup_factorizations"] == 1
         assert report.burn_in_seconds > 0 and report.collect_seconds > 0
         assert 1.0 <= report.extra["theta_ess"] <= 120
+
+    def test_joint_report_counts_the_collect_sweeps_only(self):
+        raw = base_config(samplers=["agrad-z"], seeds=[0], hyper={"mode": "joint"}, burn_in=150, collect=120, R=4)
+        (report,) = run_benchmark(validate_config(raw), threads=1, write=False).reports
+        # each collected sweep: R aGrad-z steps of 2 matvecs, then a joint move of 3
+        assert report.matvecs == 120 * (2 * 4 + 3)
+
+
+COX_SAMPLERS = [kind.value for kind in SamplerKind]
+
+
+def cox_config(simulate, **overrides):
+    raw = {"model": "cox", "simulate": simulate, "samplers": COX_SAMPLERS, "seeds": [0], "burn_in": 200, "collect": 150}
+    raw.update(overrides)
+    return validate_config(raw)
+
+
+class TestCoxPriorRoute:
+    def test_fixed_grid_cox_runs_on_the_torus(self):
+        result = run_benchmark(cox_config({"side": 6, "seed": 2}), threads=1, keep_samples=True, write=False)
+        assert result.meta["prior"] == "torus 12x12"
+        assert 0.0 < result.meta["torus_eigenvalue_ratio"] < 1.0
+        assert result.meta["dimension"] == 36
+        assert result.meta["setup_factorizations"] == 1
+        for kind in SamplerKind:
+            report = next(r for r in result.reports if r.method == DISPLAY_NAMES[kind])
+            assert report.error is None and report.dimension == 36
+            assert report.matvecs == 150 * MATVEC_BUDGET[kind] and report.factorizations == 0
+            assert result.runs[(report.method, 0)].samples.shape == (150, 36)
+
+    def test_torus_likelihood_sees_only_the_observed_cells(self):
+        config = cox_config({"side": 6, "seed": 2})
+        bundle = resolve_dataset(config)
+        prior, target = harness.shared_prior(config, bundle)
+        assert isinstance(prior, TorusPrior) and target.dimension == 144
+        x = np.random.default_rng(0).standard_normal(144)
+        f, grad = target.evaluate(x)
+        f_obs, grad_obs = bundle.target.evaluate(prior.observed(x))
+        assert f == pytest.approx(f_obs, rel=1e-13)
+        np.testing.assert_allclose(grad, prior.embed(grad_obs), rtol=1e-13, atol=0.0)
+
+    def test_non_psd_embedding_takes_the_dense_route_unchanged(self):
+        simulate = {"side": 8, "seed": 0, "scale_divisor": 330.0}
+        config = cox_config(simulate)
+        result = run_benchmark(config, threads=1, write=False)
+        assert result.meta["prior"] == "dense"
+        assert result.meta["torus_eigenvalue_ratio"] == pytest.approx(-4.7e-3, rel=0.01)
+        assert result.meta["dimension"] == 64 and result.meta["setup_factorizations"] == 1
+        # the digest of the dense path: the shared decomposition of the matrix, one job per sampler
+        bundle = simulate_dataset("cox", simulate)
+        prior = eigendecompose_covariance(bundle.covariance)
+        reports = [
+            benchmark_single(kind, prior, bundle.target, 0, config.burn_in, config.collect).report
+            for kind in config.samplers
+        ]
+        assert result.digest == determinism_digest(reports)
+
+    def test_kernel_spec_reaches_the_torus_with_its_jitter(self):
+        kernel = {"type": "grid_exponential", "jitter": 0.5}
+        result = run_benchmark(cox_config({"side": 6, "seed": 2}, kernel=kernel, samplers=["mgrad"]),
+                               threads=1, write=False)
+        plain = run_benchmark(cox_config({"side": 6, "seed": 2}, samplers=["mgrad"]), threads=1, write=False)
+        assert result.meta["prior"] == plain.meta["prior"] == "torus 12x12"
+        assert result.meta["torus_eigenvalue_ratio"] > plain.meta["torus_eigenvalue_ratio"]
+        with pytest.raises(ConfigError, match="5x5 grid"):
+            run_benchmark(cox_config({"side": 6, "seed": 2}, kernel={"type": "grid_exponential", "side": 5}),
+                          threads=1, write=False)
+
+    def test_hyper_mode_and_other_models_stay_dense(self):
+        learn = run_benchmark(
+            cox_config({"side": 4, "seed": 2}, samplers=["agrad-z"], hyper={"mode": "joint"}, collect=100),
+            threads=1, write=False,
+        )
+        assert learn.meta["prior"] == "dense" and learn.meta["torus_eigenvalue_ratio"] is None
+        assert learn.meta["dimension"] == 16 and learn.reports[0].dimension == 16
+        regression = run_benchmark(validate_config(base_config(seeds=[0])), threads=1, write=False)
+        assert regression.meta["prior"] == "dense" and regression.meta["torus_eigenvalue_ratio"] is None
 
 
 class TestOutputs:

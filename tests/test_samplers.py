@@ -17,8 +17,8 @@ from lgm.samplers import (
     mh_accept,
     propose_given_noised_gradient_aux,
 )
-from lgm.spectral import OpCounter, build_delta_operators, eigendecompose_covariance
-from lgm.targets import BernoulliLogit, ConstantTarget, GaussianRegression, TargetModel
+from lgm.spectral import OpCounter, TorusPrior, build_delta_operators, eigendecompose_covariance
+from lgm.targets import BernoulliLogit, ConstantTarget, GaussianRegression, GridKernel, TargetModel
 
 from conftest import make_singular_psd, make_spd
 
@@ -103,6 +103,18 @@ class TestStateCoherence:
         chain.run(50)
         chain.set_delta(0.2)
         chain.run(50)
+        check_state_coherence(chain)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_torus_caches_stay_coherent(self, kind):
+        # a 4 x 4 grid embedded in an 8 x 8 torus: FFT transforms, eigenvalues in FFT order
+        prior = eigendecompose_covariance(GridKernel(4, 1.91, 1.0 / 33.0, 66.0))
+        assert isinstance(prior, TorusPrior)
+        target = BernoulliLogit(np.arange(prior.dimension) % 2)
+        chain = Chain(kind, prior, target, np.random.default_rng(3))
+        chain.run(150)
+        chain.set_delta(0.2)
+        chain.run(150)
         check_state_coherence(chain)
 
     def test_detects_corrupted_cache(self):

@@ -98,6 +98,26 @@ class TestPoissonCounts:
         with pytest.raises(ValueError, match="exposure"):
             PoissonCounts(np.array([1.0]), exposure=0.0, offset=0.0)
 
+    def test_zero_exposure_cells_drop_out_of_f(self, rng):
+        counts = np.array([2.0, 0.0, 1.0, 0.0])
+        padded = PoissonCounts(counts, exposure=np.array([0.5, 0.0, 0.5, 0.0]), offset=0.3)
+        plain = PoissonCounts(counts[[0, 2]], exposure=0.5, offset=0.3)
+        x = rng.standard_normal(4)
+        f, grad = padded.evaluate(x)
+        f_plain, grad_plain = plain.evaluate(x[[0, 2]])
+        assert f == pytest.approx(f_plain, rel=1e-14)
+        assert padded.log_likelihood(x) == f
+        np.testing.assert_array_equal(grad[[1, 3]], 0.0)
+        np.testing.assert_allclose(grad[[0, 2]], grad_plain, rtol=1e-14)
+
+    def test_per_cell_exposure_validation(self):
+        with pytest.raises(ValueError, match="shape"):
+            PoissonCounts(np.array([1.0, 0.0]), exposure=np.array([1.0]), offset=0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            PoissonCounts(np.array([1.0, 0.0]), exposure=np.array([1.0, -1.0]), offset=0.0)
+        with pytest.raises(ValueError, match="zero exposure"):
+            PoissonCounts(np.array([1.0, 2.0]), exposure=np.array([1.0, 0.0]), offset=0.0)
+
 
 class TestCategoricalSoftmax:
     def test_value_matches_direct_computation(self, rng):
