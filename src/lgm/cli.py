@@ -144,12 +144,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    prior, target = shared_prior(config, resolve_dataset(config))
+    bundle = resolve_dataset(config)
+    prior = shared_prior(config, bundle)
     rows = []
     for kind in config.samplers:
         for seed in config.seeds:
             rng = np.random.default_rng([seed, KIND_STREAM_INDEX[kind]])
-            chain = Chain(kind, prior, target, rng)
+            chain = Chain(kind, prior, bundle.target, rng)
             tune = tune_and_freeze(chain, config.burn_in)
             rows.append(
                 {

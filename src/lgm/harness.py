@@ -760,7 +760,7 @@ def run_benchmark(
     """
     bundle = resolve_dataset(config)
     setup_counter = OpCounter()
-    prior, target = shared_prior(config, bundle, setup_counter)
+    prior = shared_prior(config, bundle, setup_counter)
 
     if config.hyper_mode == "fixed":
         jobs = [(kind, seed) for kind in config.samplers for seed in config.seeds]
@@ -769,7 +769,7 @@ def run_benchmark(
             kind, seed = job
             try:
                 return job, benchmark_single(
-                    kind, prior, target, seed, config.burn_in, config.collect, config.thin, keep_samples
+                    kind, prior, bundle.target, seed, config.burn_in, config.collect, config.thin, keep_samples
                 )
             except Exception as exc:  # isolate run failures
                 logger.exception("run (%s, seed %s) failed", kind.value, seed)
@@ -823,27 +823,21 @@ def run_benchmark(
     return result
 
 
-def shared_prior(
-    config: ExperimentConfig, bundle: DatasetBundle, counter: OpCounter | None = None
-) -> tuple[SpectralPrior, TargetModel]:
-    """The decomposition every job of a config shares, and the target its chains run on.
+def shared_prior(config: ExperimentConfig, bundle: DatasetBundle, counter: OpCounter | None = None) -> SpectralPrior:
+    """The decomposition every job of a config shares.
 
     Fixed-hyperparameter grid Cox configs hand the grid kernel to
     ``eigendecompose_covariance``, which embeds it in a torus of twice the
-    side when that embedding is PSD.  Their likelihood then covers the torus
-    field, with zero counts and zero exposure on the padding cells, so the
-    posterior of the observed cells is unchanged; chains record only those.
-    Hyperparameter mode stays dense: the padding cells' prior terms would
-    enter theta's conditional given x and slow theta's mixing.
+    side when that embedding is PSD.  Chains run on the dataset's own
+    target either way: they hand it the observed cells of the torus field
+    (``prior.observed``), so the posterior of those cells is unchanged, and
+    the padding cells follow the prior alone.  Hyperparameter mode stays
+    dense: the padding cells' prior terms would enter theta's conditional
+    given x and slow theta's mixing.
     """
     jitter = (config.kernel or {}).get("jitter", 0.0)
     grid = _torus_candidate(config, bundle)
-    prior = eigendecompose_covariance(grid or bundle.covariance, jitter=jitter, counter=counter)
-    if not isinstance(prior, TorusPrior):
-        return prior, bundle.target
-    target = bundle.target
-    exposure = prior.embed(np.broadcast_to(target.exposure, target.counts.shape))
-    return prior, PoissonCounts(prior.embed(target.counts), exposure=exposure, offset=target.offset)
+    return eigendecompose_covariance(grid or bundle.covariance, jitter=jitter, counter=counter)
 
 
 def _torus_candidate(config: ExperimentConfig, bundle: DatasetBundle) -> GridKernel | None:

@@ -17,6 +17,11 @@ States carry exactly the caches their kernel promotes between steps, so
 nothing is recomputed on acceptance.  The gradient-free kernels (pcn,
 ellipt) evaluate only f at their proposals and compute grad f once, for the
 state they accept, so ``grad_x`` stays coherent for every kernel.
+
+The target reads the prior's observed cells of a state, ``prior.observed(x)``,
+and its gradient is lifted back to the latent field with ``prior.embed``.  On
+a dense prior both are the identity; on a torus the likelihood sees the s^2
+grid cells and never the 3 s^2 padding cells.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ class ChainState:
     needs are populated; the rest stay None.  ``likelihood_evals`` counts
     evaluations of f at proposed points (one per MH step, one per slice
     shrink); the gradient pass for a state accepted by pCN or Ellipt is not
-    counted.
+    counted.  ``grad_x`` is the lifted gradient: zero on cells the target
+    does not observe.
     """
 
     x: np.ndarray
@@ -138,6 +144,12 @@ def mh_accept(log_ratio: float, rng: np.random.Generator) -> bool:
     return -rng.exponential() < log_ratio
 
 
+def _lifted_evaluate(prior: SpectralPrior, target: TargetModel, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(f, grad f) of the field x: the target reads x's observed cells, and grad f is lifted back to the field."""
+    f, grad = target.evaluate(prior.observed(x))
+    return f, prior.embed(grad)
+
+
 def init_chain_state(
     kind: SamplerKind,
     x0: np.ndarray,
@@ -152,7 +164,7 @@ def init_chain_state(
     if x0.shape != (prior.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({prior.dimension},)")
     counter = counter if counter is not None else OpCounter()
-    f0, g0 = target.evaluate(x0)
+    f0, g0 = _lifted_evaluate(prior, target, x0)
     if not np.isfinite(f0):
         raise ValueError(f"initial state has non-finite log-likelihood {f0!r}")
     state = ChainState(x=x0, f_x=f0, grad_x=g0, counter=counter, likelihood_evals=1)
@@ -225,7 +237,7 @@ def propose_given_noised_gradient_aux(
     eta = rng.standard_normal(prior.dimension)
     sq = ops.sqrt_aux_var
     y = from_spectral(prior, sq * (sq * uz + eta), state.counter)
-    f_y, grad_y = target.evaluate(y)
+    f_y, grad_y = _lifted_evaluate(prior, target, y)
     state.likelihood_evals += 1
     extra = -state.f_x + _aux_grad_g_term(z, y, grad_y, delta) - _aux_grad_g_term(z, state.x, state.grad_x, delta)
     return y, f_y, grad_y, _guarded_ratio(f_y, grad_y, extra)
@@ -277,7 +289,7 @@ def step_agrad_u(
 
     eta = rng.standard_normal(n)
     y = from_spectral(prior, ops.aux_var * (uu + state.ugrad_x) + ops.sqrt_aux_var * eta, state.counter)
-    f_y, grad_y = target.evaluate(y)
+    f_y, grad_y = _lifted_evaluate(prior, target, y)
     state.likelihood_evals += 1
     ugrad_y = to_spectral(prior, grad_y, state.counter)
 
@@ -313,7 +325,7 @@ def step_mgrad(
     """
     eta = rng.standard_normal(prior.dimension)
     y = from_spectral(prior, state.prop_mean_spec + ops.sqrt_marginal_var * eta, state.counter)
-    f_y, grad_y = target.evaluate(y)
+    f_y, grad_y = _lifted_evaluate(prior, target, y)
     state.likelihood_evals += 1
     uy = to_spectral(prior, y, state.counter)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
@@ -357,13 +369,13 @@ def step_pcn(
     eta = rng.standard_normal(prior.dimension)
     shift = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
     y = (2.0 / (2.0 + delta)) * state.x + (math.sqrt(delta * (delta + 4.0)) / (2.0 + delta)) * shift
-    f_y = target.log_likelihood(y)
+    f_y = target.log_likelihood(prior.observed(y))
     state.likelihood_evals += 1
     log_ratio = f_y - state.f_x if math.isfinite(f_y) else -math.inf
 
     accepted = mh_accept(log_ratio, rng)
     if accepted:
-        _, grad_y = target.evaluate(y)
+        _, grad_y = _lifted_evaluate(prior, target, y)
         accepted = bool(np.isfinite(grad_y).all())
         if accepted:
             state.x = y
@@ -400,7 +412,7 @@ def step_pcnl(
         math.sqrt(delta * (delta + 4.0)) / (2.0 + delta)
     ) * (prior.sqrt_eigenvalues * eta)
     y = rho * state.x + from_spectral(prior, drift_and_noise, state.counter)
-    f_y, grad_y = target.evaluate(y)
+    f_y, grad_y = _lifted_evaluate(prior, target, y)
     state.likelihood_evals += 1
     ugrad_y = to_spectral(prior, grad_y, state.counter)
     gamma_ugrad_y = prior.eigenvalues * ugrad_y
@@ -452,7 +464,7 @@ def step_pmala(
         prior.sqrt_eigenvalues * eta
     )
     y = a * state.x + from_spectral(prior, drift_and_noise, state.counter)
-    f_y, grad_y = target.evaluate(y)
+    f_y, grad_y = _lifted_evaluate(prior, target, y)
     state.likelihood_evals += 1
     uy = to_spectral(prior, y, state.counter)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
@@ -490,29 +502,36 @@ def step_ellipt(
     angle bracket [theta - 2pi, theta] toward zero until
     f(x cos theta + nu sin theta) exceeds the height.  Never rejects; the
     number of likelihood evaluations per step is variable and recorded on
-    the state.  Shrinks evaluate f alone; grad f is computed once, for the
-    accepted point.  A step that fails to terminate within 100 shrinks keeps
-    the current state and logs a warning (unreachable for continuous f).
+    the state.  Shrink candidates are formed on the observed cells alone,
+    since f reads nothing else, and evaluate f alone; the full field and
+    grad f are computed once, for the accepted point.  A step that fails to
+    terminate within 100 shrinks keeps the current state and logs a warning
+    (unreachable for continuous f).
     """
     eta = rng.standard_normal(prior.dimension)
     nu = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
     log_height = state.f_x - rng.exponential()
+    x_obs = prior.observed(state.x)
+    nu_obs = prior.observed(nu)
 
     # Angles are drawn as lo + (hi - lo) * U: the exact arithmetic of
     # rng.uniform(lo, hi), without its call overhead.
     theta = 2.0 * math.pi * rng.random()
     lo, hi = theta - 2.0 * math.pi, theta
     for _ in range(MAX_SLICE_SHRINKS):
-        candidate = state.x * math.cos(theta) + nu * math.sin(theta)
+        cos, sin = math.cos(theta), math.sin(theta)
+        candidate = x_obs * cos + nu_obs * sin
         f_c = target.log_likelihood(candidate)
         state.likelihood_evals += 1
         if math.isfinite(f_c) and f_c > log_height:
-            state.x = candidate
+            # A dense prior observes every cell: the candidate is the field.
+            x_new = candidate if x_obs is state.x else state.x * cos + nu * sin
+            state.x = x_new
             state.f_x = f_c
-            state.grad_x = target.evaluate(candidate)[1]
+            state.grad_x = prior.embed(target.evaluate(candidate)[1])
             state.accept_count += 1
             state.step_count += 1
-            return StepResult(True, candidate, 0.0)
+            return StepResult(True, x_new, 0.0)
         if theta < 0.0:
             lo = theta
         else:
@@ -562,9 +581,10 @@ class Chain:
         counter: OpCounter | None = None,
     ):
         self.kind = SamplerKind(kind)
-        if target.dimension != prior.dimension:
+        if target.dimension != prior.observed_dimension:
             raise ValueError(
-                f"target dimension {target.dimension} does not match prior dimension {prior.dimension}"
+                f"target dimension {target.dimension} does not match the prior's "
+                f"{prior.observed_dimension} observed cells"
             )
         self.prior = prior
         self.target = target
@@ -648,7 +668,7 @@ def check_state_coherence(
         kind = chain_or_state.kind
     else:
         state = chain_or_state
-    f, g = target.evaluate(state.x)
+    f, g = _lifted_evaluate(prior, target, state.x)
     scale = max(1.0, abs(state.f_x))
     assert abs(f - state.f_x) <= atol * scale, "cached f(x) is stale"
     assert np.allclose(g, state.grad_x, atol=atol), "cached grad f(x) is stale"

@@ -68,9 +68,11 @@ class SpectralPrior:
     Subclasses give the basis transforms: ``transform(v)`` is U^T v and
     ``inverse_transform(w)`` is U w.  ``eigenvalues`` is nonnegative; exact
     zeros mark prior null directions.  The latent field may hold cells the
-    data never see: ``observed(x)`` returns the ones a chain records.  The
-    derived vectors below are computed on first use and cached read-only,
-    since every transition reads them.
+    data never see: ``observed(x)`` returns the ones the likelihood reads
+    and a chain records, and ``embed(v)`` lifts a vector on those cells to
+    the field, zero elsewhere.  Both return their argument itself when
+    every cell is observed.  The derived vectors below are computed on
+    first use and cached read-only, since every transition reads them.
     """
 
     eigenvalues: np.ndarray
@@ -85,6 +87,9 @@ class SpectralPrior:
 
     def observed(self, x: np.ndarray) -> np.ndarray:
         return x
+
+    def embed(self, v: np.ndarray) -> np.ndarray:
+        return v
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError

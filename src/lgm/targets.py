@@ -105,8 +105,9 @@ class PoissonCounts(TargetModel):
 
     ``exposure`` is one positive number for every cell, or one nonnegative
     number per cell.  A cell of zero exposure must hold zero counts; its
-    f-term and gradient are zero, so f does not depend on it.  Such cells
-    pad a grid to a larger latent field (see ``lgm.spectral.TorusPrior``).
+    f-term and gradient are zero while exp(x_j + offset) is finite, and NaN
+    once it overflows, so such cells are no way to pad a latent field (a
+    chain hands the likelihood ``SpectralPrior.observed(x)`` instead).
     """
 
     def __init__(self, counts: np.ndarray, exposure: float | np.ndarray, offset: float):
@@ -133,12 +134,14 @@ class PoissonCounts(TargetModel):
         self.dimension = counts.shape[0]
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        rate = self.exposure * np.exp(x + self.offset)
-        f = float(self.counts @ (x + self.offset) - rate.sum())
+        log_intensity = x + self.offset
+        rate = self.exposure * np.exp(log_intensity)
+        f = float(self.counts @ log_intensity - rate.sum())
         return f, self.counts - rate
 
     def log_likelihood(self, x: np.ndarray) -> float:
-        return float(self.counts @ (x + self.offset) - (self.exposure * np.exp(x + self.offset)).sum())
+        log_intensity = x + self.offset
+        return float(self.counts @ log_intensity - (self.exposure * np.exp(log_intensity)).sum())
 
 
 class CategoricalSoftmax(TargetModel):

@@ -27,9 +27,9 @@ from lgm.harness import (
     write_benchmark_outputs,
     write_dataset,
 )
-from lgm.samplers import DISPLAY_NAMES, MATVEC_BUDGET, SamplerKind
+from lgm.samplers import DISPLAY_NAMES, MATVEC_BUDGET, Chain, SamplerKind
 from lgm.spectral import TorusPrior, eigendecompose_covariance
-from lgm.targets import GaussianRegression
+from lgm.targets import GaussianRegression, PoissonCounts
 
 from conftest import make_spd
 
@@ -353,13 +353,17 @@ class TestCoxPriorRoute:
     def test_torus_likelihood_sees_only_the_observed_cells(self):
         config = cox_config({"side": 6, "seed": 2})
         bundle = resolve_dataset(config)
-        prior, target = harness.shared_prior(config, bundle)
-        assert isinstance(prior, TorusPrior) and target.dimension == 144
+        prior = harness.shared_prior(config, bundle)
+        target = bundle.target
+        assert isinstance(prior, TorusPrior) and target.dimension == prior.observed_dimension == 36
+        # reference: the grid padded to the torus with zero counts and zero exposure
+        exposure = prior.embed(np.broadcast_to(target.exposure, target.counts.shape))
+        padded = PoissonCounts(prior.embed(target.counts), exposure=exposure, offset=target.offset)
         x = np.random.default_rng(0).standard_normal(144)
-        f, grad = target.evaluate(x)
-        f_obs, grad_obs = bundle.target.evaluate(prior.observed(x))
-        assert f == pytest.approx(f_obs, rel=1e-13)
-        np.testing.assert_allclose(grad, prior.embed(grad_obs), rtol=1e-13, atol=0.0)
+        f, grad = padded.evaluate(x)
+        state = Chain(SamplerKind.MGRAD, prior, target, np.random.default_rng(0), x0=x).state
+        assert state.f_x == pytest.approx(f, rel=1e-13)
+        np.testing.assert_array_equal(state.grad_x, grad)
 
     def test_non_psd_embedding_takes_the_dense_route_unchanged(self):
         simulate = {"side": 8, "seed": 0, "scale_divisor": 330.0}

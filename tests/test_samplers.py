@@ -110,7 +110,7 @@ class TestStateCoherence:
         # a 4 x 4 grid embedded in an 8 x 8 torus: FFT transforms, eigenvalues in FFT order
         prior = eigendecompose_covariance(GridKernel(4, 1.91, 1.0 / 33.0, 66.0))
         assert isinstance(prior, TorusPrior)
-        target = BernoulliLogit(np.arange(prior.dimension) % 2)
+        target = BernoulliLogit(np.arange(prior.observed_dimension) % 2)
         chain = Chain(kind, prior, target, np.random.default_rng(3))
         chain.run(150)
         chain.set_delta(0.2)

@@ -86,6 +86,17 @@ class TestPoissonCounts:
         expected = np.sum(counts * (x - 0.2)) - rate.sum()
         assert target.evaluate(x)[0] == pytest.approx(expected, rel=1e-12)
 
+    def test_value_and_gradient_match_the_two_pass_formula_bit_for_bit(self, rng):
+        counts = rng.poisson(3.0, 64).astype(float)
+        target = PoissonCounts(counts, exposure=0.25, offset=1.1)
+        for _ in range(200):
+            x = 2.0 * rng.standard_normal(64)
+            rate = 0.25 * np.exp(x + 1.1)
+            f, grad = target.evaluate(x)
+            assert f == float(counts @ (x + 1.1) - rate.sum())
+            assert target.log_likelihood(x) == f
+            np.testing.assert_array_equal(grad, counts - rate)
+
     def test_matrix_counts_flatten_row_major(self):
         grid = np.array([[1, 2], [3, 4]])
         target = PoissonCounts(grid, exposure=1.0, offset=0.0)

@@ -5,9 +5,9 @@ import pytest
 
 from lgm.adaptation import tune_and_freeze
 from lgm.diagnostics import ess_geyer
-from lgm.samplers import Chain, SamplerKind
+from lgm.samplers import Chain, SamplerKind, check_state_coherence
 from lgm.spectral import DensePrior, OpCounter, TorusPrior, eigendecompose_covariance, from_spectral, to_spectral
-from lgm.targets import GridKernel, TargetModel
+from lgm.targets import GaussianRegression, GridKernel, PoissonCounts, TargetModel
 
 SIDES = [6, 8]
 
@@ -23,18 +23,27 @@ def unit(n, i):
     return e
 
 
-class ObservedGaussian(TargetModel):
-    """y ~ N(x_obs, sigma2 I) on the observed cells of a torus field; the padding is unseen."""
+class RecordingTarget(TargetModel):
+    """Wraps a likelihood and records the shape of every vector handed to it."""
 
-    def __init__(self, prior: TorusPrior, y: np.ndarray, sigma2: float):
-        self.prior = prior
-        self.y = y
-        self.sigma2 = sigma2
-        self.dimension = prior.dimension
+    def __init__(self, inner: TargetModel):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.evaluate_shapes = []
+        self.log_likelihood_shapes = []
 
     def evaluate(self, x):
-        resid = self.y - self.prior.observed(x)
-        return -0.5 * float(resid @ resid) / self.sigma2, self.prior.embed(resid / self.sigma2)
+        self.evaluate_shapes.append(x.shape)
+        return self.inner.evaluate(x)
+
+    def log_likelihood(self, x):
+        self.log_likelihood_shapes.append(x.shape)
+        return self.inner.log_likelihood(x)
+
+
+def grid_counts(side):
+    counts = np.random.default_rng(side).poisson(2.0, side * side)
+    return PoissonCounts(counts, exposure=1.0, offset=0.5)
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -71,7 +80,7 @@ def test_mgrad_on_the_torus_recovers_the_exact_posterior_mean(side):
     y = np.random.default_rng(side).multivariate_normal(np.zeros(side * side), cov + sigma2 * np.eye(side * side))
     exact = cov @ np.linalg.solve(cov + sigma2 * np.eye(side * side), y)
 
-    chain = Chain(SamplerKind.MGRAD, prior, ObservedGaussian(prior, y, sigma2), np.random.default_rng(1), delta=sigma2)
+    chain = Chain(SamplerKind.MGRAD, prior, GaussianRegression(y, sigma2), np.random.default_rng(1), delta=sigma2)
     tune_and_freeze(chain, 1000)
     samples = chain.sample(10000)
     assert samples.shape == (10000, side * side)
@@ -121,3 +130,46 @@ def test_observed_and_embed_are_inverse_on_the_observed_cells():
     np.testing.assert_array_equal(prior.observed(padded), v)
     assert padded.reshape(12, 12)[:6, :6].reshape(-1).tolist() == v.tolist()
     assert np.count_nonzero(padded) == 35
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_every_kernel_hands_the_likelihood_the_observed_cells(kind):
+    prior = eigendecompose_covariance(grid_kernel(6))
+    target = RecordingTarget(grid_counts(6))
+    chain = Chain(kind, prior, target, np.random.default_rng(2))
+    chain.run(100)
+    shapes = target.evaluate_shapes + target.log_likelihood_shapes
+    assert shapes and set(shapes) == {(36,)}
+    state = chain.state
+    assert state.x.shape == state.grad_x.shape == (144,)
+    np.testing.assert_array_equal(state.grad_x, prior.embed(prior.observed(state.grad_x)))
+    if kind in (SamplerKind.PCN, SamplerKind.ELLIPT):
+        # f alone at proposals, then one gradient pass per accepted state (and one at x0)
+        assert len(target.log_likelihood_shapes) == state.likelihood_evals - 1
+        assert len(target.evaluate_shapes) == 1 + state.accept_count
+    else:
+        assert len(target.evaluate_shapes) == state.likelihood_evals
+    check_state_coherence(chain)
+
+
+def test_chain_rejects_a_target_that_is_not_the_observed_cells():
+    prior = eigendecompose_covariance(grid_kernel(6))
+    for cells in (35, 144):
+        with pytest.raises(ValueError, match="36 observed cells"):
+            Chain(SamplerKind.ELLIPT, prior, PoissonCounts(np.zeros(cells), exposure=1.0, offset=0.0),
+                  np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_a_large_padding_cell_leaves_f_and_its_gradient_alone(kind):
+    # exp(800) overflows: a zero-exposure padding cell would make f NaN
+    prior = eigendecompose_covariance(grid_kernel(6))
+    target = grid_counts(6)
+    x0 = prior.embed(np.random.default_rng(0).standard_normal(36))
+    x0[9 * 12 + 9] = 800.0  # torus cell (9, 9), off the 6 x 6 grid
+    chain = Chain(kind, prior, target, np.random.default_rng(1), x0=x0)
+    f, grad = target.evaluate(prior.observed(x0))
+    assert chain.state.f_x == f
+    np.testing.assert_array_equal(chain.state.grad_x, prior.embed(grad))
+    chain.run(20)
+    assert np.isfinite(chain.state.f_x) and np.isfinite(chain.state.grad_x).all()
