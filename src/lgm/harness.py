@@ -380,13 +380,11 @@ def validate_kernel_spec(spec: dict, path: str = "kernel") -> dict:
         out["side"] = _typed(spec, "side", int, path)
         if out["side"] is not None and out["side"] < 2:
             raise ConfigError(f"{path}.side must be at least 2, got {out['side']!r}")
-        out["beta"] = _typed(spec, "beta", float, path, default=DEFAULT_COX_BETA)
-        out["amplitude"] = _typed(spec, "amplitude", float, path, default=DEFAULT_COX_AMPLITUDE)
-        out["scale_divisor"] = _typed(spec, "scale_divisor", float, path)
-        if out["scale_divisor"] is not None and out["scale_divisor"] <= 0:
-            raise ConfigError(f"{path}.scale_divisor must be positive, got {out['scale_divisor']!r}")
+        # Unwritten grid parameters stay None: see _grid_parameter.
+        for key in ("beta", "amplitude", "scale_divisor"):
+            out[key] = _typed(spec, key, float, path)
     for key, value in out.items():
-        if key in ("lengthscale2", "amplitude", "beta") and value <= 0:
+        if key in ("lengthscale2", "amplitude", "beta", "scale_divisor") and value is not None and value <= 0:
             raise ConfigError(f"{path}.{key} must be positive, got {value!r}")
     return out
 
@@ -520,9 +518,9 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
         if counts.shape[0] != counts.shape[1]:
             raise ConfigError(f"cox counts file must be a square grid, got shape {counts.shape}")
         side = counts.shape[0]
-        beta = (kernel or {}).get("beta", manifest.get("beta", DEFAULT_COX_BETA))
-        amplitude = (kernel or {}).get("amplitude", manifest.get("amplitude", DEFAULT_COX_AMPLITUDE))
-        scale = (kernel or {}).get("scale_divisor", manifest.get("scale_divisor")) or float(side)
+        beta = _grid_parameter(kernel, manifest, "beta", DEFAULT_COX_BETA)
+        amplitude = _grid_parameter(kernel, manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
+        scale = _grid_parameter(kernel, manifest, "scale_divisor", float(side))
         exposure = likelihood.get("exposure", manifest.get("cell_area", 1.0 / side**2))
         default_offset = math.log(DEFAULT_COX_MEAN_COUNT) - 0.5 * amplitude
         offset = likelihood.get("offset", manifest.get("offset", default_offset))
@@ -591,9 +589,18 @@ def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> tuple[np.ndarray,
     side = kernel.get("side") or int(math.isqrt(bundle.target.dimension))
     if side * side != bundle.target.dimension:
         raise ConfigError(f"config.kernel: a {side}x{side} grid does not fit the dataset's {bundle.target.dimension} cells")
-    scale = kernel.get("scale_divisor") or float(side)
-    grid = GridKernel(side, kernel["amplitude"], kernel["beta"], scale)
+    amplitude = _grid_parameter(kernel, bundle.manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
+    beta = _grid_parameter(kernel, bundle.manifest, "beta", DEFAULT_COX_BETA)
+    grid = GridKernel(side, amplitude, beta, _grid_parameter(kernel, bundle.manifest, "scale_divisor", float(side)))
     return grid.matrix(), grid
+
+
+def _grid_parameter(kernel: dict | None, manifest: dict, key: str, default: float) -> float:
+    """A grid kernel parameter: the kernel spec's if written there, else the dataset manifest's, else the default."""
+    for source in (kernel or {}, manifest):
+        if source.get(key) is not None:
+            return source[key]
+    return default
 
 
 def resolve_threads(cli_value: int | None = None) -> int:

@@ -48,6 +48,7 @@ from .samplers import (
     SamplerKind,
     draw_noised_gradient_aux,
     init_chain_state,
+    metropolis_step,
     mh_accept,
     propose_given_noised_gradient_aux,
     step_agrad_z,
@@ -59,7 +60,7 @@ from .spectral import (
     build_delta_operators,
     eigendecompose_covariance,
     prior_logdet,
-    prior_null_mask,
+    prior_quad_form,
     to_spectral,
 )
 from .targets import TargetModel
@@ -156,18 +157,15 @@ def prior_state_logpdf(prior: SpectralPrior, ux: np.ndarray) -> float:
     """log N(x | 0, C) from spectral coordinates, -inf when x leaves the support.
 
     Degenerate covariances use the pseudo-density on their range; a state
-    with non-negligible mass in a null direction has zero density, which a
-    Metropolis move treats as a rejection rather than an error.
+    with non-negligible mass in a null direction (``prior_quad_form``'s
+    support check) has zero density, which a Metropolis move treats as a
+    rejection rather than an error.
     """
-    null = prior_null_mask(prior)
-    if null.any():
-        scale = max(1.0, float(np.abs(ux).max()))
-        if float(np.abs(ux[null]).max()) > 1e-8 * scale:
-            return -math.inf
-    keep = ~null
-    rank = int(keep.sum())
-    quad = float(np.sum(ux[keep] ** 2 / prior.eigenvalues[keep]))
-    return -0.5 * (rank * math.log(2.0 * math.pi) + prior_logdet(prior) + quad)
+    try:
+        quad = prior_quad_form(prior, ux)
+    except ValueError:
+        return -math.inf
+    return -0.5 * (prior.range_index.size * math.log(2.0 * math.pi) + prior_logdet(prior) + quad)
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,12 @@ class HyperChain:
 
 
 def _propose_theta(chain: HyperChain) -> tuple[np.ndarray, SpectralPrior | None, DeltaOperators | None]:
-    """Random-walk theta and rescale the eigenvalues; None prior means reject."""
+    """Random-walk theta and rescale the eigenvalues; None prior means reject.
+
+    With kappa = 0 theta stays: no draw, and the current prior and operators.
+    """
+    if chain.kappa == 0.0:
+        return chain.theta, chain.prior, chain.ops
     theta_prop = chain.theta + math.sqrt(chain.kappa) * chain.rng.standard_normal(chain.theta.shape[0])
     try:
         new_prior = chain.model.covariance(theta_prop)
@@ -277,16 +280,14 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
     state = chain.state
     rng = chain.rng
     z = draw_noised_gradient_aux(state, chain.ops.delta, rng)
-
+    theta_prop, new_prior, new_ops = _propose_theta(chain)
+    if new_prior is None:
+        state.step_count += 1
+        chain.theta_step_count += 1
+        return ThetaStepResult(False, theta_prop, -math.inf, -math.inf)
+    y, f_y, grad_y, latent_ratio = propose_given_noised_gradient_aux(state, new_prior, new_ops, chain.target, rng, z)
+    theta_ratio = 0.0
     if chain.kappa > 0.0:
-        theta_prop, new_prior, new_ops = _propose_theta(chain)
-        if new_prior is None:
-            state.step_count += 1
-            chain.theta_step_count += 1
-            return ThetaStepResult(False, theta_prop, -math.inf, -math.inf)
-        y, f_y, grad_y, latent_ratio = propose_given_noised_gradient_aux(
-            state, new_prior, new_ops, chain.target, rng, z
-        )
         uz = to_spectral(chain.prior, z, chain.counter)
         theta_ratio = (
             spectral_log_evidence(uz, new_prior, new_ops.delta)
@@ -294,28 +295,12 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
             + chain.model.prior.logpdf(theta_prop)
             - chain.model.prior.logpdf(chain.theta)
         )
-        total = latent_ratio + theta_ratio
-    else:
-        theta_prop, new_prior, new_ops = chain.theta, chain.prior, chain.ops
-        y, f_y, grad_y, latent_ratio = propose_given_noised_gradient_aux(
-            state, chain.prior, chain.ops, chain.target, rng, z
-        )
-        theta_ratio = 0.0
-        total = latent_ratio
-
-    accepted = mh_accept(total, rng)
-    if accepted:
-        state.x = y
-        state.f_x = f_y
-        state.grad_x = grad_y
-        state.accept_count += 1
-        chain.theta = theta_prop
-        chain.prior = new_prior
-        chain.ops = new_ops
+    result = metropolis_step(state, new_prior, chain.target, rng, y, f_y, grad_y, latent_ratio + theta_ratio)
+    if result.accepted:
+        chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
         chain.theta_accept_count += 1
-    state.step_count += 1
     chain.theta_step_count += 1
-    return ThetaStepResult(accepted, theta_prop, latent_ratio, theta_ratio)
+    return ThetaStepResult(result.accepted, theta_prop, latent_ratio, theta_ratio)
 
 
 def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
@@ -326,27 +311,21 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
     than raised.  Costs one matvec per proposal: both densities read the
     same U^T x, since every C(theta) shares the basis.
     """
-    state = chain.state
+    theta_prop, new_prior, new_ops = _propose_theta(chain)
+    if new_prior is None:
+        chain.theta_step_count += 1
+        return ThetaStepResult(False, theta_prop, 0.0, -math.inf)
+    theta_ratio = 0.0
     if chain.kappa > 0.0:
-        theta_prop, new_prior, new_ops = _propose_theta(chain)
-        if new_prior is None:
-            chain.theta_step_count += 1
-            return ThetaStepResult(False, theta_prop, 0.0, -math.inf)
-        ux = to_spectral(chain.prior, state.x, chain.counter)
+        ux = to_spectral(chain.prior, chain.state.x, chain.counter)
         lp_new = prior_state_logpdf(new_prior, ux)
         lp_old = prior_state_logpdf(chain.prior, ux)
         theta_ratio = (
             lp_new - lp_old + chain.model.prior.logpdf(theta_prop) - chain.model.prior.logpdf(chain.theta)
         )
-    else:
-        theta_prop, new_prior, new_ops = chain.theta, chain.prior, chain.ops
-        theta_ratio = 0.0
-
     accepted = mh_accept(theta_ratio, chain.rng)
     if accepted:
-        chain.theta = theta_prop
-        chain.prior = new_prior
-        chain.ops = new_ops
+        chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
         chain.theta_accept_count += 1
     chain.theta_step_count += 1
     return ThetaStepResult(accepted, theta_prop, 0.0, theta_ratio)

@@ -18,6 +18,17 @@ nothing is recomputed on acceptance.  The gradient-free kernels (pcn,
 ellipt) evaluate only f at their proposals and compute grad f once, for the
 state they accept, so ``grad_x`` stays coherent for every kernel.
 
+The six Metropolis-Hastings kernels share one skeleton.  A kernel draws its
+proposal y, evaluates f there once, and assembles its log-ratio
+f(y) - f(x) + (its proposal terms) with ``_guarded_ratio``, which maps any
+non-finite ingredient to a rejection.  ``metropolis_step`` then accepts or
+rejects, and on acceptance ``_promote`` moves the state to y with the
+caches the kernel names; it also counts the step and the evaluation.  Each
+cache has one definition, read by ``init_chain_state`` and by the accept
+path alike.  Elliptical slice never rejects and promotes its slice point
+through ``_promote`` too; every kernel takes the same arguments and is
+looked up in ``_STEP_FUNCS``.
+
 The target reads the prior's observed cells of a state, ``prior.observed(x)``,
 and its gradient is lifted back to the latent field with ``prior.embed``.  On
 a dense prior both are the identity; on a torus the likelihood sees the s^2
@@ -171,8 +182,7 @@ def init_chain_state(
     if kind in (SamplerKind.AGRAD_U, SamplerKind.PCNL):
         state.ugrad_x = to_spectral(prior, g0, counter)
         if kind is SamplerKind.PCNL:
-            state.gamma_ugrad_x = prior.eigenvalues * state.ugrad_x
-            state.grad_quad_x = float(state.ugrad_x @ state.gamma_ugrad_x)
+            state.gamma_ugrad_x, state.grad_quad_x = _pcnl_gradient_terms(prior, state.ugrad_x)
     elif kind in (SamplerKind.MGRAD, SamplerKind.PMALA):
         state.ux = to_spectral(prior, x0, counter)
         state.ugrad_x = to_spectral(prior, g0, counter)
@@ -195,16 +205,60 @@ def refresh_step_size_caches(state: ChainState, kind: SamplerKind, ops: DeltaOpe
         raise ValueError("marginal kernel requires delta operators")
     if state.ux is None or state.ugrad_x is None:
         raise ValueError("marginal kernel state is missing spectral caches")
-    two_over_delta = 2.0 / ops.delta
-    state.prop_mean_spec = ops.aux_var * (two_over_delta * state.ux + state.ugrad_x)
-    state.ratio_anchor_spec = ops.aux_var * (two_over_delta * state.ux + 0.5 * state.ugrad_x)
+    state.prop_mean_spec = _mgrad_proposal_mean(ops, state.ux, state.ugrad_x)
+    state.ratio_anchor_spec = _mgrad_ratio_anchor(ops, state.ux, state.ugrad_x)
 
 
-def _guarded_ratio(f_y: float, grad_y: np.ndarray, extra: float) -> float:
+# Kernel caches, each written once for init_chain_state and the accept path.
+def _mgrad_proposal_mean(ops: DeltaOperators, u: np.ndarray, ugrad: np.ndarray) -> np.ndarray:
+    return ops.aux_var * ((2.0 / ops.delta) * u + ugrad)
+
+
+def _mgrad_ratio_anchor(ops: DeltaOperators, u: np.ndarray, ugrad: np.ndarray) -> np.ndarray:
+    return ops.aux_var * ((2.0 / ops.delta) * u + 0.5 * ugrad)
+
+
+def _pcnl_gradient_terms(prior: SpectralPrior, ugrad: np.ndarray) -> tuple[np.ndarray, float]:
+    """(diag(gamma) U^T grad f, grad f^T C grad f) from the spectral gradient."""
+    gamma_ugrad = prior.eigenvalues * ugrad
+    return gamma_ugrad, float(ugrad @ gamma_ugrad)
+
+
+def _guarded_ratio(f_y: float, grad_y: np.ndarray | None, extra: float) -> float:
     """Assemble a log-ratio, mapping any non-finite ingredient to -inf."""
-    if not math.isfinite(f_y) or not np.isfinite(grad_y).all() or not math.isfinite(extra):
+    if not math.isfinite(f_y) or not math.isfinite(extra) or (grad_y is not None and not np.isfinite(grad_y).all()):
         return -math.inf
     return f_y + extra
+
+
+def metropolis_step(
+    state: ChainState, prior: SpectralPrior, target: TargetModel, rng: np.random.Generator,
+    y: np.ndarray, f_y: float, grad_y: np.ndarray | None, log_ratio: float, caches: dict | None = None,
+) -> StepResult:
+    """Accept or reject the proposal y, whose f the kernel evaluated once; every MH kernel ends here.
+
+    ``log_ratio`` is the guarded log acceptance ratio.  A value-only proposal
+    passes ``grad_y=None``: grad f is evaluated for an accepted y alone, which
+    is still rejected if that gradient is not finite.  On acceptance the state
+    moves to y with the kernel's ``caches``: ChainState fields by name.
+    """
+    state.likelihood_evals += 1
+    accepted = mh_accept(log_ratio, rng)
+    if accepted and grad_y is None:
+        grad_y = _lifted_evaluate(prior, target, y)[1]
+        accepted = bool(np.isfinite(grad_y).all())
+    if accepted:
+        _promote(state, y, f_y, grad_y, caches)
+    state.step_count += 1
+    return StepResult(accepted, y, log_ratio)
+
+
+def _promote(state: ChainState, y: np.ndarray, f_y: float, grad_y: np.ndarray, caches: dict | None) -> None:
+    """Move the state to an accepted y: its f, grad f and the kernel's caches."""
+    state.x, state.f_x, state.grad_x = y, f_y, grad_y
+    if caches:
+        vars(state).update(caches)
+    state.accept_count += 1
 
 
 def _aux_grad_g_term(z: np.ndarray, v: np.ndarray, grad_v: np.ndarray, delta: float) -> float:
@@ -238,7 +292,6 @@ def propose_given_noised_gradient_aux(
     sq = ops.sqrt_aux_var
     y = from_spectral(prior, sq * (sq * uz + eta), state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    state.likelihood_evals += 1
     extra = -state.f_x + _aux_grad_g_term(z, y, grad_y, delta) - _aux_grad_g_term(z, state.x, state.grad_x, delta)
     return y, f_y, grad_y, _guarded_ratio(f_y, grad_y, extra)
 
@@ -257,14 +310,7 @@ def step_agrad_z(
     """
     z = draw_noised_gradient_aux(state, ops.delta, rng)
     y, f_y, grad_y, log_ratio = propose_given_noised_gradient_aux(state, prior, ops, target, rng, z)
-    accepted = mh_accept(log_ratio, rng)
-    if accepted:
-        state.x = y
-        state.f_x = f_y
-        state.grad_x = grad_y
-        state.accept_count += 1
-    state.step_count += 1
-    return StepResult(accepted, y, log_ratio)
+    return metropolis_step(state, prior, target, rng, y, f_y, grad_y, log_ratio)
 
 
 def step_agrad_u(
@@ -290,22 +336,12 @@ def step_agrad_u(
     eta = rng.standard_normal(n)
     y = from_spectral(prior, ops.aux_var * (uu + state.ugrad_x) + ops.sqrt_aux_var * eta, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    state.likelihood_evals += 1
     ugrad_y = to_spectral(prior, grad_y, state.counter)
 
     j_fwd = float(state.x @ grad_y) - float((ops.aux_var * (uu + 0.5 * ugrad_y)) @ ugrad_y)
     j_bwd = float(y @ state.grad_x) - float((ops.aux_var * (uu + 0.5 * state.ugrad_x)) @ state.ugrad_x)
     log_ratio = _guarded_ratio(f_y, grad_y, -state.f_x + j_fwd - j_bwd)
-
-    accepted = mh_accept(log_ratio, rng)
-    if accepted:
-        state.x = y
-        state.f_x = f_y
-        state.grad_x = grad_y
-        state.ugrad_x = ugrad_y
-        state.accept_count += 1
-    state.step_count += 1
-    return StepResult(accepted, y, log_ratio)
+    return metropolis_step(state, prior, target, rng, y, f_y, grad_y, log_ratio, {"ugrad_x": ugrad_y})
 
 
 def step_mgrad(
@@ -321,33 +357,24 @@ def step_mgrad(
     from the cached spectral mean; accept with
     exp{f(y) - f(x) + h(x,y) - h(y,x)} where, spectrally,
     h(x,y) = (ux - anchor(y))^T (ratio_weight * ugrad_y).
-    3 matvecs; promotes everything including the two cached vectors.
+    3 matvecs; promotes everything including the two cached vectors, the
+    proposal mean only once y is accepted.
     """
     eta = rng.standard_normal(prior.dimension)
     y = from_spectral(prior, state.prop_mean_spec + ops.sqrt_marginal_var * eta, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    state.likelihood_evals += 1
     uy = to_spectral(prior, y, state.counter)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
 
-    two_over_delta = 2.0 / ops.delta
-    anchor_y = ops.aux_var * (two_over_delta * uy + 0.5 * ugrad_y)
+    anchor_y = _mgrad_ratio_anchor(ops, uy, ugrad_y)
     h_fwd = float((state.ux - anchor_y) @ (ops.ratio_weight * ugrad_y))
     h_bwd = float((uy - state.ratio_anchor_spec) @ (ops.ratio_weight * state.ugrad_x))
     log_ratio = _guarded_ratio(f_y, grad_y, -state.f_x + h_fwd - h_bwd)
-
-    accepted = mh_accept(log_ratio, rng)
-    if accepted:
-        state.x = y
-        state.f_x = f_y
-        state.grad_x = grad_y
-        state.ux = uy
-        state.ugrad_x = ugrad_y
-        state.prop_mean_spec = ops.aux_var * (two_over_delta * uy + ugrad_y)
-        state.ratio_anchor_spec = anchor_y
-        state.accept_count += 1
-    state.step_count += 1
-    return StepResult(accepted, y, log_ratio)
+    caches = {"ux": uy, "ugrad_x": ugrad_y, "ratio_anchor_spec": anchor_y}
+    result = metropolis_step(state, prior, target, rng, y, f_y, grad_y, log_ratio, caches)
+    if result.accepted:
+        state.prop_mean_spec = _mgrad_proposal_mean(ops, uy, ugrad_y)
+    return result
 
 
 def step_pcn(
@@ -370,20 +397,7 @@ def step_pcn(
     shift = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
     y = (2.0 / (2.0 + delta)) * state.x + (math.sqrt(delta * (delta + 4.0)) / (2.0 + delta)) * shift
     f_y = target.log_likelihood(prior.observed(y))
-    state.likelihood_evals += 1
-    log_ratio = f_y - state.f_x if math.isfinite(f_y) else -math.inf
-
-    accepted = mh_accept(log_ratio, rng)
-    if accepted:
-        _, grad_y = _lifted_evaluate(prior, target, y)
-        accepted = bool(np.isfinite(grad_y).all())
-        if accepted:
-            state.x = y
-            state.f_x = f_y
-            state.grad_x = grad_y
-            state.accept_count += 1
-    state.step_count += 1
-    return StepResult(accepted, y, log_ratio)
+    return metropolis_step(state, prior, target, rng, y, f_y, None, _guarded_ratio(f_y, None, -state.f_x))
 
 
 def step_pcnl(
@@ -413,28 +427,16 @@ def step_pcnl(
     ) * (prior.sqrt_eigenvalues * eta)
     y = rho * state.x + from_spectral(prior, drift_and_noise, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    state.likelihood_evals += 1
     ugrad_y = to_spectral(prior, grad_y, state.counter)
-    gamma_ugrad_y = prior.eigenvalues * ugrad_y
-    grad_quad_y = float(ugrad_y @ gamma_ugrad_y)
+    gamma_ugrad_y, grad_quad_y = _pcnl_gradient_terms(prior, ugrad_y)
 
     c_lin = (2.0 + delta) / (4.0 + delta)
     c_quad = delta / (2.0 * (delta + 4.0))
     k_fwd = c_lin * float((state.x - rho * y) @ grad_y) - c_quad * grad_quad_y
     k_bwd = c_lin * float((y - rho * state.x) @ state.grad_x) - c_quad * state.grad_quad_x
     log_ratio = _guarded_ratio(f_y, grad_y, -state.f_x + k_fwd - k_bwd)
-
-    accepted = mh_accept(log_ratio, rng)
-    if accepted:
-        state.x = y
-        state.f_x = f_y
-        state.grad_x = grad_y
-        state.ugrad_x = ugrad_y
-        state.gamma_ugrad_x = gamma_ugrad_y
-        state.grad_quad_x = grad_quad_y
-        state.accept_count += 1
-    state.step_count += 1
-    return StepResult(accepted, y, log_ratio)
+    caches = {"ugrad_x": ugrad_y, "gamma_ugrad_x": gamma_ugrad_y, "grad_quad_x": grad_quad_y}
+    return metropolis_step(state, prior, target, rng, y, f_y, grad_y, log_ratio, caches)
 
 
 def step_pmala(
@@ -465,7 +467,6 @@ def step_pmala(
     )
     y = a * state.x + from_spectral(prior, drift_and_noise, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    state.likelihood_evals += 1
     uy = to_spectral(prior, y, state.counter)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
 
@@ -476,23 +477,14 @@ def step_pmala(
     bwd = state.ux[keep] - a * uy[keep] - 0.5 * delta * g * ugrad_y[keep]
     proposal_term = -(float(bwd @ (bwd / g)) - float(fwd @ (fwd / g))) / (2.0 * delta)
     log_ratio = _guarded_ratio(f_y, grad_y, -state.f_x + prior_term + proposal_term)
-
-    accepted = mh_accept(log_ratio, rng)
-    if accepted:
-        state.x = y
-        state.f_x = f_y
-        state.grad_x = grad_y
-        state.ux = uy
-        state.ugrad_x = ugrad_y
-        state.prior_quad_x = prior_quad_y
-        state.accept_count += 1
-    state.step_count += 1
-    return StepResult(accepted, y, log_ratio)
+    caches = {"ux": uy, "ugrad_x": ugrad_y, "prior_quad_x": prior_quad_y}
+    return metropolis_step(state, prior, target, rng, y, f_y, grad_y, log_ratio, caches)
 
 
 def step_ellipt(
     state: ChainState,
     prior: SpectralPrior,
+    ops: DeltaOperators | None,
     target: TargetModel,
     rng: np.random.Generator,
 ) -> StepResult:
@@ -506,7 +498,7 @@ def step_ellipt(
     since f reads nothing else, and evaluate f alone; the full field and
     grad f are computed once, for the accepted point.  A step that fails to
     terminate within 100 shrinks keeps the current state and logs a warning
-    (unreachable for continuous f).
+    (unreachable for continuous f).  Has no step size: ``ops`` is unused.
     """
     eta = rng.standard_normal(prior.dimension)
     nu = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
@@ -526,10 +518,7 @@ def step_ellipt(
         if math.isfinite(f_c) and f_c > log_height:
             # A dense prior observes every cell: the candidate is the field.
             x_new = candidate if x_obs is state.x else state.x * cos + nu * sin
-            state.x = x_new
-            state.f_x = f_c
-            state.grad_x = prior.embed(target.evaluate(candidate)[1])
-            state.accept_count += 1
+            _promote(state, x_new, f_c, prior.embed(target.evaluate(candidate)[1]), None)
             state.step_count += 1
             return StepResult(True, x_new, 0.0)
         if theta < 0.0:
@@ -549,6 +538,7 @@ _STEP_FUNCS = {
     SamplerKind.PCN: step_pcn,
     SamplerKind.PCNL: step_pcnl,
     SamplerKind.PMALA: step_pmala,
+    SamplerKind.ELLIPT: step_ellipt,
 }
 
 DEFAULT_INITIAL_DELTA = {
@@ -618,8 +608,6 @@ class Chain:
         refresh_step_size_caches(self.state, self.kind, self.ops)
 
     def step(self) -> StepResult:
-        if self.kind is SamplerKind.ELLIPT:
-            return step_ellipt(self.state, self.prior, self.target, self.rng)
         return _STEP_FUNCS[self.kind](self.state, self.prior, self.ops, self.target, self.rng)
 
     def run(self, n_steps: int) -> int:
@@ -644,52 +632,3 @@ class Chain:
                 self.step()
             out[i] = observed(self.state.x)
         return out
-
-
-def check_state_coherence(
-    chain_or_state,
-    prior: SpectralPrior | None = None,
-    target: TargetModel | None = None,
-    ops: DeltaOperators | None = None,
-    kind: SamplerKind | None = None,
-    atol: float = 1e-9,
-) -> None:
-    """Recompute every populated cache from x and compare.
-
-    Debugging aid used by the test suite; raises AssertionError on drift.
-    The spectral caches are recomputed through ``to_spectral`` and
-    ``from_spectral``, so any prior's transforms are checked the same way.
-    """
-    if isinstance(chain_or_state, Chain):
-        state = chain_or_state.state
-        prior = chain_or_state.prior
-        target = chain_or_state.target
-        ops = chain_or_state.ops
-        kind = chain_or_state.kind
-    else:
-        state = chain_or_state
-    f, g = _lifted_evaluate(prior, target, state.x)
-    scale = max(1.0, abs(state.f_x))
-    assert abs(f - state.f_x) <= atol * scale, "cached f(x) is stale"
-    assert np.allclose(g, state.grad_x, atol=atol), "cached grad f(x) is stale"
-    ux = to_spectral(prior, state.x)
-    ugrad = to_spectral(prior, state.grad_x)
-    if state.ux is not None:
-        assert np.allclose(ux, state.ux, atol=atol), "cached U^T x is stale"
-    if state.ugrad_x is not None:
-        assert np.allclose(ugrad, state.ugrad_x, atol=atol), "cached U^T grad is stale"
-    if state.prop_mean_spec is not None:
-        expect = ops.aux_var * ((2.0 / ops.delta) * state.ux + state.ugrad_x)
-        assert np.allclose(expect, state.prop_mean_spec, atol=atol), "cached proposal mean is stale"
-    if state.ratio_anchor_spec is not None:
-        expect = ops.aux_var * ((2.0 / ops.delta) * state.ux + 0.5 * state.ugrad_x)
-        assert np.allclose(expect, state.ratio_anchor_spec, atol=atol), "cached ratio anchor is stale"
-    if state.gamma_ugrad_x is not None:
-        expect = prior.eigenvalues * ugrad
-        assert np.allclose(expect, state.gamma_ugrad_x, atol=atol), "cached C-weighted gradient is stale"
-    if state.grad_quad_x is not None:
-        expect = float(state.grad_x @ from_spectral(prior, prior.eigenvalues * ugrad))
-        assert abs(expect - state.grad_quad_x) <= atol * max(1.0, abs(expect)), "cached grad^T C grad is stale"
-    if state.prior_quad_x is not None:
-        expect = prior_quad_form(prior, ux)
-        assert abs(expect - state.prior_quad_x) <= atol * max(1.0, abs(expect)), "cached prior quadratic form is stale"

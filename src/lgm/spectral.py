@@ -399,12 +399,7 @@ def shrinkage_maps(gamma: np.ndarray, delta: float, sigma2: float) -> ShrinkageM
     return ShrinkageMaps(pcnl=pcnl, marginal=marginal, posterior=posterior)
 
 
-def prior_null_mask(prior: SpectralPrior) -> np.ndarray:
-    """Boolean mask of eigendirections treated as prior null space (read-only)."""
-    return prior.null_mask
-
-
-def prior_quad_form(prior: SpectralPrior, ux: np.ndarray, what: str = "state") -> float:
+def prior_quad_form(prior: SpectralPrior, ux: np.ndarray) -> float:
     """Return x^T C^+ x from spectral coordinates ux = U^T x.
 
     Null directions (eigenvalues at or below 1e-10 * gamma_max) are skipped;

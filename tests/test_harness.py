@@ -216,6 +216,21 @@ class TestDatasetIO:
         np.testing.assert_allclose(loaded.covariance, bundle.covariance, atol=1e-12)
         assert loaded.target.offset == pytest.approx(bundle.target.offset)
 
+    def test_cox_kernel_section_falls_back_to_the_manifest_key_by_key(self, tmp_path):
+        bundle = simulate_dataset("cox", {"side": 6, "seed": 6, "beta": 0.2, "amplitude": 0.7, "scale_divisor": 3.0})
+        paths = write_dataset(bundle, tmp_path, stem="counts")
+
+        def loaded(kernel):
+            raw = {"model": "cox", "dataset": {"path": str(paths["data"])}, "kernel": kernel, "samplers": ["pcn"],
+                   "seeds": [0], "burn_in": 200, "collect": 150}
+            return resolve_dataset(validate_config(raw)).grid
+
+        grid = loaded({"type": "grid_exponential", "jitter": 1e-6})
+        assert (grid.beta, grid.variance, grid.scale) == (0.2, 0.7, 3.0)
+        np.testing.assert_array_equal(grid.matrix(), bundle.covariance)
+        grid = loaded({"type": "grid_exponential", "beta": 0.5})
+        assert (grid.beta, grid.variance, grid.scale) == (0.5, 0.7, 3.0)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_dataset("cox", tmp_path / "nope.csv", kernel=None)

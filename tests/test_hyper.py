@@ -126,6 +126,15 @@ class TestHyperChain:
             chain.theta_step()
             assert chain.counter.matvecs - before == matvecs
 
+    @pytest.mark.parametrize("mode, matvecs", [("joint", 2), ("gibbs", 0)])
+    def test_theta_move_without_a_walk_skips_the_evidence_transform(self, mode, matvecs):
+        model, target = self.make_setup()
+        chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(5), mode=mode, kappa=0.0)
+        for _ in range(20):
+            before = chain.counter.matvecs
+            chain.theta_step()
+            assert chain.counter.matvecs - before == matvecs
+
     @pytest.mark.parametrize("mode", ["joint", "gibbs"])
     def test_unrepresentable_scale_is_rejected(self, mode, caplog):
         """A theta whose e^theta overflows or underflows to zero is a rejected

@@ -11,7 +11,6 @@ from lgm.samplers import (
     GRADIENT_KINDS,
     MATVEC_BUDGET,
     SamplerKind,
-    check_state_coherence,
     draw_noised_gradient_aux,
     init_chain_state,
     mh_accept,
@@ -20,7 +19,7 @@ from lgm.samplers import (
 from lgm.spectral import OpCounter, TorusPrior, build_delta_operators, eigendecompose_covariance
 from lgm.targets import BernoulliLogit, ConstantTarget, GaussianRegression, GridKernel, TargetModel
 
-from conftest import make_singular_psd, make_spd
+from conftest import check_state_coherence, make_singular_psd, make_spd
 
 ALL_KINDS = list(SamplerKind)
 MH_KINDS = [k for k in ALL_KINDS if k is not SamplerKind.ELLIPT]

@@ -11,7 +11,6 @@ from lgm.spectral import (
     eigendecompose_covariance,
     from_spectral,
     prior_logdet,
-    prior_null_mask,
     prior_quad_form,
     shrinkage_maps,
     to_spectral,
@@ -226,4 +225,4 @@ class TestPriorDensityPieces:
 
     def test_null_mask(self, rng):
         prior = eigendecompose_covariance(make_singular_psd(6, 4, rng))
-        np.testing.assert_array_equal(prior_null_mask(prior), [False] * 4 + [True] * 2)
+        np.testing.assert_array_equal(prior.null_mask, [False] * 4 + [True] * 2)

@@ -5,9 +5,11 @@ import pytest
 
 from lgm.adaptation import tune_and_freeze
 from lgm.diagnostics import ess_geyer
-from lgm.samplers import Chain, SamplerKind, check_state_coherence
+from lgm.samplers import Chain, SamplerKind
 from lgm.spectral import DensePrior, OpCounter, TorusPrior, eigendecompose_covariance, from_spectral, to_spectral
 from lgm.targets import GaussianRegression, GridKernel, PoissonCounts, TargetModel
+
+from conftest import check_state_coherence
 
 SIDES = [6, 8]
 
