@@ -18,16 +18,12 @@ nothing is recomputed on acceptance.  The gradient-free kernels (pcn,
 ellipt) evaluate only f at their proposals and compute grad f once, for the
 state they accept, so ``grad_x`` stays coherent for every kernel.
 
-The six Metropolis-Hastings kernels share one skeleton.  A kernel draws its
-proposal y, evaluates f there once, and assembles its log-ratio
-f(y) - f(x) + (its proposal terms) with ``_guarded_ratio``, which maps any
-non-finite ingredient to a rejection.  ``metropolis_step`` then accepts or
-rejects, and on acceptance ``_promote`` moves the state to y with the
-caches the kernel names; it also counts the step and the evaluation.  Each
-cache has one definition, read by ``init_chain_state`` and by the accept
-path alike.  Elliptical slice never rejects and promotes its slice point
-through ``_promote`` too; every kernel takes the same arguments and is
-looked up in ``_STEP_FUNCS``.
+The six Metropolis-Hastings kernels share one skeleton: a kernel draws y,
+evaluates f there once and guards its log-ratio with ``_guarded_ratio``;
+``metropolis_step`` accepts or rejects, counts the step, and promotes y with
+the caches the kernel names through ``_promote``, which Ellipt's slice point
+also takes.  Each cache has one definition, shared by ``init_chain_state``
+and the accept path.  Every kernel is looked up in ``_STEP_FUNCS``.
 
 The target reads the prior's observed cells of a state, ``prior.observed(x)``,
 and its gradient is lifted back to the latent field with ``prior.embed``.  On
