@@ -226,8 +226,6 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig
     _check_keys(likelihood, {k: None for k in LIKELIHOOD_FIELDS[model]}, "config.likelihood")
     if simulate is not None and likelihood:
         raise ConfigError("config.likelihood is derived from 'simulate'; remove one of them")
-    if dataset_path is not None and model == "regression" and "sigma2" not in likelihood:
-        raise ConfigError("config.likelihood.sigma2 is required for a regression dataset file")
 
     samplers_raw = raw.get("samplers")
     if not isinstance(samplers_raw, list) or not samplers_raw:
@@ -373,18 +371,17 @@ def validate_kernel_spec(spec: dict, path: str = "kernel") -> dict:
     out = {"type": ktype, "jitter": _typed(spec, "jitter", float, path, default=0.0)}
     if out["jitter"] < 0:
         raise ConfigError(f"{path}.jitter must be nonnegative, got {out['jitter']!r}")
+    # Unwritten kernel parameters stay None: see _kernel_parameter.
     if ktype == "squared_exponential":
-        out["lengthscale2"] = _typed(spec, "lengthscale2", float, path, default=1.0)
-        out["amplitude"] = _typed(spec, "amplitude", float, path, default=1.0)
+        keys = ("lengthscale2", "amplitude")
     else:
+        keys = ("beta", "amplitude", "scale_divisor")
         out["side"] = _typed(spec, "side", int, path)
         if out["side"] is not None and out["side"] < 2:
             raise ConfigError(f"{path}.side must be at least 2, got {out['side']!r}")
-        # Unwritten grid parameters stay None: see _grid_parameter.
-        for key in ("beta", "amplitude", "scale_divisor"):
-            out[key] = _typed(spec, key, float, path)
-    for key, value in out.items():
-        if key in ("lengthscale2", "amplitude", "beta", "scale_divisor") and value is not None and value <= 0:
+    for key in keys:
+        value = out[key] = _typed(spec, key, float, path)
+        if value is not None and value <= 0:
             raise ConfigError(f"{path}.{key} must be positive, got {value!r}")
     return out
 
@@ -464,7 +461,7 @@ def simulate_dataset(model: str, spec: dict, rng: np.random.Generator | None = N
 
 def _draw_from_prior(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     prior = eigendecompose_covariance(cov)
-    return prior.basis @ (prior.sqrt_eigenvalues * rng.standard_normal(prior.dimension))
+    return prior.basis @ (prior.sqrt_eigenvalues * rng.standard_normal(prior.dimension)[: prior.rank])
 
 
 def down_sample_cox(counts: np.ndarray) -> np.ndarray:
@@ -518,9 +515,9 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
         if counts.shape[0] != counts.shape[1]:
             raise ConfigError(f"cox counts file must be a square grid, got shape {counts.shape}")
         side = counts.shape[0]
-        beta = _grid_parameter(kernel, manifest, "beta", DEFAULT_COX_BETA)
-        amplitude = _grid_parameter(kernel, manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
-        scale = _grid_parameter(kernel, manifest, "scale_divisor", float(side))
+        beta = _kernel_parameter(kernel, manifest, "beta", DEFAULT_COX_BETA)
+        amplitude = _kernel_parameter(kernel, manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
+        scale = _kernel_parameter(kernel, manifest, "scale_divisor", float(side))
         exposure = likelihood.get("exposure", manifest.get("cell_area", 1.0 / side**2))
         default_offset = math.log(DEFAULT_COX_MEAN_COUNT) - 0.5 * amplitude
         offset = likelihood.get("offset", manifest.get("offset", default_offset))
@@ -536,7 +533,7 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     inputs = np.atleast_1d(rows["input"])
     if kernel is None:
         raise ConfigError(f"a kernel spec is required to load a {model} dataset")
-    cov = squared_exponential_kernel(inputs, variance=kernel["amplitude"], lengthscale2=kernel["lengthscale2"])
+    cov, kernel = _squared_exponential(kernel, manifest, inputs)
     meta = {"model": model, "kernel": kernel, "source": str(path)}
 
     if model == "regression":
@@ -582,21 +579,29 @@ def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> tuple[np.ndarray,
     if kernel["type"] == "squared_exponential":
         if bundle.inputs is None:
             raise ConfigError("squared_exponential kernel requires input locations")
-        cov = squared_exponential_kernel(bundle.inputs, variance=kernel["amplitude"], lengthscale2=kernel["lengthscale2"])
+        cov = _squared_exponential(kernel, bundle.manifest, bundle.inputs)[0]
         if bundle.model == "multiclass":
             cov = np.kron(np.eye(bundle.target.dimension // cov.shape[0]), cov)
         return cov, None
     side = kernel.get("side") or int(math.isqrt(bundle.target.dimension))
     if side * side != bundle.target.dimension:
         raise ConfigError(f"config.kernel: a {side}x{side} grid does not fit the dataset's {bundle.target.dimension} cells")
-    amplitude = _grid_parameter(kernel, bundle.manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
-    beta = _grid_parameter(kernel, bundle.manifest, "beta", DEFAULT_COX_BETA)
-    grid = GridKernel(side, amplitude, beta, _grid_parameter(kernel, bundle.manifest, "scale_divisor", float(side)))
+    amplitude = _kernel_parameter(kernel, bundle.manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
+    beta = _kernel_parameter(kernel, bundle.manifest, "beta", DEFAULT_COX_BETA)
+    grid = GridKernel(side, amplitude, beta, _kernel_parameter(kernel, bundle.manifest, "scale_divisor", float(side)))
     return grid.matrix(), grid
 
 
-def _grid_parameter(kernel: dict | None, manifest: dict, key: str, default: float) -> float:
-    """A grid kernel parameter: the kernel spec's if written there, else the dataset manifest's, else the default."""
+def _squared_exponential(kernel: dict, manifest: dict, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The squared-exponential covariance at the inputs, and the kernel spec with its resolved parameters."""
+    lengthscale2 = _kernel_parameter(kernel, manifest, "lengthscale2", 1.0)
+    amplitude = _kernel_parameter(kernel, manifest, "amplitude", 1.0)
+    cov = squared_exponential_kernel(inputs, variance=amplitude, lengthscale2=lengthscale2)
+    return cov, {**kernel, "lengthscale2": lengthscale2, "amplitude": amplitude}
+
+
+def _kernel_parameter(kernel: dict | None, manifest: dict, key: str, default: float) -> float:
+    """A kernel parameter: the kernel spec's if written there, else the dataset manifest's, else the default."""
     for source in (kernel or {}, manifest):
         if source.get(key) is not None:
             return source[key]

@@ -144,28 +144,37 @@ def log_evidence(z: np.ndarray, prior: SpectralPrior, delta: float, counter: OpC
     under the prior, the quantity whose ratio carries all theta dependence
     of the joint move beyond the latent factor.  Costs one matvec.
     """
-    return spectral_log_evidence(to_spectral(prior, z, counter), prior, delta)
+    return spectral_log_evidence(to_spectral(prior, z, counter), prior, delta, float(z @ z))
 
 
-def spectral_log_evidence(uz: np.ndarray, prior: SpectralPrior, delta: float) -> float:
-    """log N(z | 0, C + (delta/2) I) from spectral coordinates uz = U^T z."""
+def spectral_log_evidence(uz: np.ndarray, prior: SpectralPrior, delta: float, z_sq: float) -> float:
+    """log N(z | 0, C + (delta/2) I) from uz = U^T z and z_sq = |z|^2.
+
+    The dimension - rank directions a range basis leaves out have variance
+    delta/2, and z's squared mass on them is |z|^2 - |uz|^2.
+    """
     var = prior.eigenvalues + 0.5 * delta
-    return float(-0.5 * np.sum(np.log(2.0 * math.pi * var) + uz**2 / var))
+    total = float(np.sum(np.log(2.0 * math.pi * var) + uz**2 / var))
+    dropped = prior.dimension - prior.rank
+    if dropped:
+        half = 0.5 * delta
+        total += dropped * math.log(2.0 * math.pi * half) + (z_sq - float(uz @ uz)) / half
+    return -0.5 * total
 
 
-def prior_state_logpdf(prior: SpectralPrior, ux: np.ndarray) -> float:
-    """log N(x | 0, C) from spectral coordinates, -inf when x leaves the support.
+def prior_state_logpdf(prior: SpectralPrior, x: np.ndarray, ux: np.ndarray) -> float:
+    """log N(x | 0, C) from the field x and ux = U^T x, -inf when x leaves the support.
 
     Degenerate covariances use the pseudo-density on their range; a state
-    with non-negligible mass in a null direction (``prior_quad_form``'s
-    support check) has zero density, which a Metropolis move treats as a
-    rejection rather than an error.
+    with non-negligible mass off the range (``prior_quad_form``'s support
+    check) has zero density, which a Metropolis move treats as a rejection
+    rather than an error.
     """
     try:
-        quad = prior_quad_form(prior, ux)
+        quad = prior_quad_form(prior, x, ux)
     except ValueError:
         return -math.inf
-    return -0.5 * (prior.range_index.size * math.log(2.0 * math.pi) + prior_logdet(prior) + quad)
+    return -0.5 * (prior.range_eigenvalues.size * math.log(2.0 * math.pi) + prior_logdet(prior) + quad)
 
 
 @dataclass(frozen=True)
@@ -289,9 +298,10 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
     theta_ratio = 0.0
     if chain.kappa > 0.0:
         uz = to_spectral(chain.prior, z, chain.counter)
+        z_sq = float(z @ z)
         theta_ratio = (
-            spectral_log_evidence(uz, new_prior, new_ops.delta)
-            - spectral_log_evidence(uz, chain.prior, chain.ops.delta)
+            spectral_log_evidence(uz, new_prior, new_ops.delta, z_sq)
+            - spectral_log_evidence(uz, chain.prior, chain.ops.delta, z_sq)
             + chain.model.prior.logpdf(theta_prop)
             - chain.model.prior.logpdf(chain.theta)
         )
@@ -317,9 +327,10 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
         return ThetaStepResult(False, theta_prop, 0.0, -math.inf)
     theta_ratio = 0.0
     if chain.kappa > 0.0:
-        ux = to_spectral(chain.prior, chain.state.x, chain.counter)
-        lp_new = prior_state_logpdf(new_prior, ux)
-        lp_old = prior_state_logpdf(chain.prior, ux)
+        x = chain.state.x
+        ux = to_spectral(chain.prior, x, chain.counter)
+        lp_new = prior_state_logpdf(new_prior, x, ux)
+        lp_old = prior_state_logpdf(chain.prior, x, ux)
         theta_ratio = (
             lp_new - lp_old + chain.model.prior.logpdf(theta_prop) - chain.model.prior.logpdf(chain.theta)
         )

@@ -12,11 +12,17 @@ and the spectral machinery of :mod:`lgm.spectral`:
   ellipt    elliptical slice sampling
 
 Each step costs a fixed number of basis matvecs, counted on the chain's
-OpCounter: pcn and ellipt 1, agrad-z and pcnl 2, agrad-u, mgrad and pmala 3.
+OpCounter: pcn and ellipt 1, agrad-z, mgrad, pcnl and pmala 2, agrad-u 3.
 States carry exactly the caches their kernel promotes between steps, so
-nothing is recomputed on acceptance.  The gradient-free kernels (pcn,
-ellipt) evaluate only f at their proposals and compute grad f once, for the
-state they accept, so ``grad_x`` stays coherent for every kernel.
+nothing is recomputed on acceptance, and no kernel transforms a vector whose
+spectral coordinates it already holds: mGrad's proposal is the transform of
+a spectral vector, and pMALA's is a x plus one, so U^T y is known without a
+transform.  A spectral draw takes the leading ``prior.rank`` entries of
+``rng.standard_normal(prior.dimension)``, so a range basis and a full basis
+with zero eigenvalues consume the same random stream.  The gradient-free
+kernels (pcn, ellipt) evaluate only f at their proposals and compute grad f
+once, for the state they accept, so ``grad_x`` stays coherent for every
+kernel.
 
 The six Metropolis-Hastings kernels share one skeleton: a kernel draws y,
 evaluates f there once and guards its log-ratio with ``_guarded_ratio``;
@@ -85,10 +91,10 @@ GRADIENT_KINDS = frozenset(
 MATVEC_BUDGET = {
     SamplerKind.AGRAD_Z: 2,
     SamplerKind.AGRAD_U: 3,
-    SamplerKind.MGRAD: 3,
+    SamplerKind.MGRAD: 2,
     SamplerKind.PCN: 1,
     SamplerKind.PCNL: 2,
-    SamplerKind.PMALA: 3,
+    SamplerKind.PMALA: 2,
     SamplerKind.ELLIPT: 1,
 }
 
@@ -102,8 +108,9 @@ class ChainState:
     spectral vectors of the marginal kernel (its proposal mean and the
     anchor appearing in its acceptance ratio).  ``gamma_ugrad_x`` is
     diag(gamma) U^T grad f(x) and ``grad_quad_x`` is grad f(x)^T C grad f(x)
-    (pCNL); ``prior_quad_x`` is x^T C^+ x (pMALA).  Only the caches a kernel
-    needs are populated; the rest stay None.  ``likelihood_evals`` counts
+    (pCNL); ``prior_quad_x`` is x^T C^+ x (pMALA).  Spectral vectors have
+    ``prior.rank`` entries.  Only the caches a kernel needs are populated;
+    the rest stay None.  ``likelihood_evals`` counts
     evaluations of f at proposed points (one per MH step, one per slice
     shrink); the gradient pass for a state accepted by pCN or Ellipt is not
     counted.  ``grad_x`` is the lifted gradient: zero on cells the target
@@ -151,6 +158,11 @@ def mh_accept(log_ratio: float, rng: np.random.Generator) -> bool:
     return -rng.exponential() < log_ratio
 
 
+def _spectral_noise(prior: SpectralPrior, rng: np.random.Generator) -> np.ndarray:
+    """prior.rank standard normals: the leading entries of a prior.dimension-long draw."""
+    return rng.standard_normal(prior.dimension)[: prior.rank]
+
+
 def _lifted_evaluate(prior: SpectralPrior, target: TargetModel, x: np.ndarray) -> tuple[float, np.ndarray]:
     """(f, grad f) of the field x: the target reads x's observed cells, and grad f is lifted back to the field."""
     f, grad = target.evaluate(prior.observed(x))
@@ -185,7 +197,7 @@ def init_chain_state(
         if kind is SamplerKind.MGRAD:
             refresh_step_size_caches(state, kind, ops)
         else:
-            state.prior_quad_x = prior_quad_form(prior, state.ux)
+            state.prior_quad_x = prior_quad_form(prior, x0, state.ux)
     return state
 
 
@@ -284,7 +296,7 @@ def propose_given_noised_gradient_aux(
     """
     delta = ops.delta
     uz = to_spectral(prior, (2.0 / delta) * z, state.counter)
-    eta = rng.standard_normal(prior.dimension)
+    eta = _spectral_noise(prior, rng)
     sq = ops.sqrt_aux_var
     y = from_spectral(prior, sq * (sq * uz + eta), state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
@@ -324,12 +336,11 @@ def step_agrad_u(
     3 matvecs; promotes x, f, grad and the spectral gradient.
     """
     delta = ops.delta
-    n = prior.dimension
-    noise = rng.standard_normal(n)
+    noise = rng.standard_normal(prior.dimension)
     u = state.x + math.sqrt(0.5 * delta) * noise
     uu = to_spectral(prior, (2.0 / delta) * u, state.counter)
 
-    eta = rng.standard_normal(n)
+    eta = _spectral_noise(prior, rng)
     y = from_spectral(prior, ops.aux_var * (uu + state.ugrad_x) + ops.sqrt_aux_var * eta, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
@@ -352,14 +363,14 @@ def step_mgrad(
     Propose y ~ N((2/delta) A (x + (delta/2) grad f(x)), (2/delta) A^2 + A)
     from the cached spectral mean; accept with
     exp{f(y) - f(x) + h(x,y) - h(y,x)} where, spectrally,
-    h(x,y) = (ux - anchor(y))^T (ratio_weight * ugrad_y).
-    3 matvecs; promotes everything including the two cached vectors, the
+    h(x,y) = (ux - anchor(y))^T (ratio_weight * ugrad_y).  The spectral
+    proposal uy is drawn first and y = U uy, so U^T y is uy itself.
+    2 matvecs; promotes everything including the two cached vectors, the
     proposal mean only once y is accepted.
     """
-    eta = rng.standard_normal(prior.dimension)
-    y = from_spectral(prior, state.prop_mean_spec + ops.sqrt_marginal_var * eta, state.counter)
+    uy = state.prop_mean_spec + ops.sqrt_marginal_var * _spectral_noise(prior, rng)
+    y = from_spectral(prior, uy, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    uy = to_spectral(prior, y, state.counter)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
 
     anchor_y = _mgrad_ratio_anchor(ops, uy, ugrad_y)
@@ -389,7 +400,7 @@ def step_pcn(
     that gradient is non-finite.  1 matvec.
     """
     delta = ops.delta
-    eta = rng.standard_normal(prior.dimension)
+    eta = _spectral_noise(prior, rng)
     shift = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
     y = (2.0 / (2.0 + delta)) * state.x + (math.sqrt(delta * (delta + 4.0)) / (2.0 + delta)) * shift
     f_y = target.log_likelihood(prior.observed(y))
@@ -417,7 +428,7 @@ def step_pcnl(
     """
     delta = ops.delta
     rho = 2.0 / (2.0 + delta)
-    eta = rng.standard_normal(prior.dimension)
+    eta = _spectral_noise(prior, rng)
     drift_and_noise = (delta / (2.0 + delta)) * state.gamma_ugrad_x + (
         math.sqrt(delta * (delta + 4.0)) / (2.0 + delta)
     ) * (prior.sqrt_eigenvalues * eta)
@@ -446,32 +457,31 @@ def step_pmala(
 
     Proposal N((1 - delta/2) x + (delta/2) C grad f(x), delta C).  The prior
     does not cancel here, so the full ratio carries the prior quadratic
-    forms, computed with a pseudo-inverse that skips null eigendirections
-    (a state with mass in a null direction is an error).  Any delta > 0 is
-    accepted; the drift is a contraction only for delta < 2, which covers
-    every tuned value seen in practice.  The current state's prior quadratic
-    form is carried on the state; the proposal's is computed, with its
-    null-mass check, on every step.  3 matvecs.
+    forms, computed with the pseudo-inverse eigenvalues, which skip null
+    directions.  Any delta > 0 is accepted; the drift is a contraction only
+    for delta < 2, which covers every tuned value seen in practice.  The
+    proposal is y = a x + U w with a spectral w, so U^T y = a U^T x + w
+    needs no transform, and y stays on the prior's range.  A state with
+    mass off the range is an error, checked once, when the chain starts;
+    the current state's prior quadratic form is carried on the state.
+    2 matvecs.
     """
     delta = ops.delta
     gamma = prior.eigenvalues
-    keep = prior.range_index
+    pinv = prior.pinv_eigenvalues
     a = 1.0 - 0.5 * delta
-    eta = rng.standard_normal(prior.dimension)
-    drift_and_noise = 0.5 * delta * (gamma * state.ugrad_x) + math.sqrt(delta) * (
-        prior.sqrt_eigenvalues * eta
-    )
+    noise = math.sqrt(delta) * (prior.sqrt_eigenvalues * _spectral_noise(prior, rng))
+    drift_and_noise = 0.5 * delta * (gamma * state.ugrad_x) + noise
+    uy = a * state.ux + drift_and_noise
     y = a * state.x + from_spectral(prior, drift_and_noise, state.counter)
     f_y, grad_y = _lifted_evaluate(prior, target, y)
-    uy = to_spectral(prior, y, state.counter)
     ugrad_y = to_spectral(prior, grad_y, state.counter)
 
-    prior_quad_y = prior_quad_form(prior, uy)
+    prior_quad_y = float((uy * uy) @ pinv)
     prior_term = -0.5 * (prior_quad_y - state.prior_quad_x)
-    g = prior.range_eigenvalues
-    fwd = uy[keep] - a * state.ux[keep] - 0.5 * delta * g * state.ugrad_x[keep]
-    bwd = state.ux[keep] - a * uy[keep] - 0.5 * delta * g * ugrad_y[keep]
-    proposal_term = -(float(bwd @ (bwd / g)) - float(fwd @ (fwd / g))) / (2.0 * delta)
+    # The forward residual y - E[y | x] is the noise itself.
+    bwd = state.ux - a * uy - 0.5 * delta * (gamma * ugrad_y)
+    proposal_term = -(float((bwd * bwd) @ pinv) - float((noise * noise) @ pinv)) / (2.0 * delta)
     log_ratio = _guarded_ratio(f_y, grad_y, -state.f_x + prior_term + proposal_term)
     caches = {"ux": uy, "ugrad_x": ugrad_y, "prior_quad_x": prior_quad_y}
     return metropolis_step(state, prior, target, rng, y, f_y, grad_y, log_ratio, caches)
@@ -491,12 +501,14 @@ def step_ellipt(
     f(x cos theta + nu sin theta) exceeds the height.  Never rejects; the
     number of likelihood evaluations per step is variable and recorded on
     the state.  Shrink candidates are formed on the observed cells alone,
-    since f reads nothing else, and evaluate f alone; the full field and
-    grad f are computed once, for the accepted point.  A step that fails to
+    since f reads nothing else, and evaluate f alone; grad f is computed
+    for a candidate on the slice, which counts as off the slice and shrinks
+    on if that gradient is not finite, as pCN rejects such a point.  The
+    full field is built once, for the accepted point.  A step that fails to
     terminate within 100 shrinks keeps the current state and logs a warning
     (unreachable for continuous f).  Has no step size: ``ops`` is unused.
     """
-    eta = rng.standard_normal(prior.dimension)
+    eta = _spectral_noise(prior, rng)
     nu = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
     log_height = state.f_x - rng.exponential()
     x_obs = prior.observed(state.x)
@@ -512,11 +524,13 @@ def step_ellipt(
         f_c = target.log_likelihood(candidate)
         state.likelihood_evals += 1
         if math.isfinite(f_c) and f_c > log_height:
-            # A dense prior observes every cell: the candidate is the field.
-            x_new = candidate if x_obs is state.x else state.x * cos + nu * sin
-            _promote(state, x_new, f_c, prior.embed(target.evaluate(candidate)[1]), None)
-            state.step_count += 1
-            return StepResult(True, x_new, 0.0)
+            grad_c = target.evaluate(candidate)[1]
+            if np.isfinite(grad_c).all():
+                # A dense prior observes every cell: the candidate is the field.
+                x_new = candidate if x_obs is state.x else state.x * cos + nu * sin
+                _promote(state, x_new, f_c, prior.embed(grad_c), None)
+                state.step_count += 1
+                return StepResult(True, x_new, 0.0)
         if theta < 0.0:
             lo = theta
         else:

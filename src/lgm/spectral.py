@@ -8,13 +8,17 @@ and works in an orthonormal eigenbasis of the prior covariance
 C = U diag(gamma) U^T.  A prior is its eigenvalues plus the two basis
 transforms U^T v and U w; each transition costs a fixed number of them plus
 O(n) diagonal arithmetic.  Changing the step size delta never touches the
-basis: it only rebuilds O(n) diagonal vectors, and only those a kernel reads.
+basis: it only rebuilds diagonal vectors, and only those a kernel reads.
 
-Two priors implement the transforms.  ``DensePrior`` holds U from one
-O(n^3) eigendecomposition, and each transform is an O(n^2) matvec.
-``TorusPrior`` embeds a grid covariance in a circulant one on a torus of
-twice the side, whose eigenbasis is the 2-D Hartley transform: no
-factorization, and each transform is an O(n log n) FFT.
+Spectral vectors have the prior's ``rank`` r entries, one per basis column,
+and the field has ``dimension`` n.  Two priors implement the transforms.
+``DensePrior`` keeps the r eigenvectors of one O(n^3) eigendecomposition
+that span the prior's range, so each transform is an O(n r) matvec and
+every diagonal has r entries; the n - r null directions carry no prior
+mass and no kernel moves along them.  ``TorusPrior`` embeds a grid
+covariance in a circulant one on a torus of twice the side, whose
+eigenbasis is the 2-D Hartley transform: no factorization, r = n, and each
+transform is an O(n log n) FFT.
 """
 
 from __future__ import annotations
@@ -63,22 +67,30 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class SpectralPrior:
-    """A prior covariance C = U diag(eigenvalues) U^T with orthonormal U.
+    """A prior covariance C = U diag(eigenvalues) U^T with orthonormal columns U.
 
     Subclasses give the basis transforms: ``transform(v)`` is U^T v and
-    ``inverse_transform(w)`` is U w.  ``eigenvalues`` is nonnegative; exact
-    zeros mark prior null directions.  The latent field may hold cells the
-    data never see: ``observed(x)`` returns the ones the likelihood reads
-    and a chain records, and ``embed(v)`` lifts a vector on those cells to
-    the field, zero elsewhere.  Both return their argument itself when
-    every cell is observed.  The derived vectors below are computed on
-    first use and cached read-only, since every transition reads them.
+    ``inverse_transform(w)`` is U w.  U has ``rank`` columns, one per
+    eigenvalue, and ``dimension`` rows, one per cell of the field; the
+    directions U leaves out are prior null directions.  ``eigenvalues`` is
+    nonnegative; exact zeros mark null directions the basis keeps.  The
+    latent field may hold cells the data never see: ``observed(x)`` returns
+    the ones the likelihood reads and a chain records, and ``embed(v)``
+    lifts a vector on those cells to the field, zero elsewhere.  Both
+    return their argument itself when every cell is observed.  The derived
+    vectors below are computed on first use and cached read-only, since
+    every transition reads them.
     """
 
     eigenvalues: np.ndarray
 
     @property
     def dimension(self) -> int:
+        return self.eigenvalues.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """Length of every spectral vector: the number of basis columns."""
         return self.eigenvalues.shape[0]
 
     @property
@@ -103,34 +115,36 @@ class SpectralPrior:
 
     @cached_property
     def null_mask(self) -> np.ndarray:
-        """Eigendirections at or below NULL_REL_TOL * gamma_max (prior null space)."""
+        """Basis directions at or below NULL_REL_TOL * gamma_max (prior null space)."""
         gamma = self.eigenvalues
         tol = NULL_REL_TOL * max(gamma.max(), 0.0) if gamma.size else 0.0
         return _read_only(gamma <= tol)
 
     @cached_property
-    def null_index(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(self.null_mask))
-
-    @cached_property
-    def range_index(self) -> np.ndarray:
-        """Indices of the eigendirections spanning the prior's range."""
-        return _read_only(np.flatnonzero(~self.null_mask))
-
-    @cached_property
     def range_eigenvalues(self) -> np.ndarray:
-        return _read_only(self.eigenvalues[self.range_index])
+        return _read_only(self.eigenvalues[~self.null_mask])
+
+    @cached_property
+    def pinv_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the pseudo-inverse C^+: 1/gamma on the range, 0 on null directions."""
+        gamma = self.eigenvalues
+        return _read_only(np.divide(1.0, gamma, out=np.zeros_like(gamma), where=~self.null_mask))
 
 
 @dataclass(frozen=True)
 class DensePrior(SpectralPrior):
     """Eigendecomposition C = basis @ diag(eigenvalues) @ basis.T.
 
-    ``basis`` has orthonormal columns; ``eigenvalues`` is sorted in
-    descending order.
+    ``basis`` is n x r with orthonormal columns; ``eigenvalues`` is sorted
+    in descending order.  ``eigendecompose_covariance`` keeps the r columns
+    that span the range of C, so a singular C transforms in O(n r).
     """
 
     basis: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.shape[0]
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         return self.basis.T @ v
@@ -201,6 +215,12 @@ def eigendecompose_covariance(
     change the covariance of the observed cells by more than roundoff.
     Otherwise its dense matrix is decomposed.  Either way the counter
     records one factorization.
+
+    A DensePrior keeps only the eigenvectors whose eigenvalue is above
+    NULL_REL_TOL * gamma_max, as a C-contiguous n x r basis; the
+    reconstruction and orthonormality checks run on the full decomposition
+    before it is cut down.  A TorusPrior keeps every direction, with exact
+    zeros on its null ones.
     """
     if isinstance(cov, GridKernel):
         eigvals = cov.torus_eigenvalues + jitter
@@ -244,9 +264,10 @@ def eigendecompose_covariance(
             f"covariance is not positive semidefinite: smallest eigenvalue "
             f"{eigvals[-1]:.3e} is below {floor:.3e}"
         )
-    prior = DensePrior(eigenvalues=_zero_null(eigvals, gamma_max), basis=eigvecs)
-    _check_decomposition(sym, prior)
-    return prior
+    eigvals = _zero_null(eigvals, gamma_max)
+    _check_decomposition(sym, eigvals, eigvecs)
+    rank = int(np.count_nonzero(eigvals))
+    return DensePrior(eigenvalues=eigvals[:rank].copy(), basis=np.ascontiguousarray(eigvecs[:, :rank]))
 
 
 def _zero_null(eigvals: np.ndarray, gamma_max: float) -> np.ndarray:
@@ -256,13 +277,12 @@ def _zero_null(eigvals: np.ndarray, gamma_max: float) -> np.ndarray:
     return np.where(eigvals > NULL_REL_TOL * gamma_max, eigvals, 0.0)
 
 
-def _check_decomposition(cov: np.ndarray, prior: DensePrior) -> None:
-    n = prior.dimension
-    gram = prior.basis.T @ prior.basis
-    ortho_err = np.abs(gram - np.eye(n)).max()
+def _check_decomposition(cov: np.ndarray, eigvals: np.ndarray, basis: np.ndarray) -> None:
+    gram = basis.T @ basis
+    ortho_err = np.abs(gram - np.eye(basis.shape[1])).max()
     if ortho_err > ORTHONORMALITY_ATOL:
         raise ValueError(f"basis is not orthonormal: max |U^T U - I| = {ortho_err:.3e}")
-    recon = (prior.basis * prior.eigenvalues) @ prior.basis.T
+    recon = (basis * eigvals) @ basis.T
     scale = max(np.abs(cov).max(), 1.0)
     recon_err = np.abs(recon - cov).max()
     if recon_err > RECONSTRUCTION_RTOL * scale:
@@ -399,23 +419,28 @@ def shrinkage_maps(gamma: np.ndarray, delta: float, sigma2: float) -> ShrinkageM
     return ShrinkageMaps(pcnl=pcnl, marginal=marginal, posterior=posterior)
 
 
-def prior_quad_form(prior: SpectralPrior, ux: np.ndarray) -> float:
-    """Return x^T C^+ x from spectral coordinates ux = U^T x.
+def prior_quad_form(prior: SpectralPrior, x: np.ndarray, ux: np.ndarray) -> float:
+    """Return x^T C^+ x from the field x and its spectral coordinates ux = U^T x.
 
-    Null directions (eigenvalues at or below 1e-10 * gamma_max) are skipped;
-    a state with non-negligible mass in a null direction is an error, since
-    the prior cannot support it.
+    Null directions (eigenvalues at or below 1e-10 * gamma_max, and those
+    the basis leaves out) are skipped.  A state with non-negligible mass off
+    the prior's range is an error, since the prior cannot support it.  A
+    square basis holds that mass in ux's null coordinates; a basis that
+    leaves directions out needs x's range component rebuilt, with one
+    uncounted transform.
     """
-    null = prior.null_index
-    if null.size:
-        scale = max(1.0, float(np.abs(ux).max()))
-        stray = np.abs(ux[null]).max()
-        if stray > 1e-8 * scale:
+    if prior.rank == prior.dimension:
+        stray = ux[prior.null_mask]
+    else:
+        stray = x - prior.inverse_transform(np.where(prior.null_mask, 0.0, ux))
+    if stray.size:
+        size = float(np.abs(stray).max())
+        if size > 1e-8 * max(1.0, float(np.abs(x).max())):
             raise ValueError(
                 "prior-singular state: component of size "
-                f"{stray:.3e} lies in a null direction of the prior"
+                f"{size:.3e} lies in a null direction of the prior"
             )
-    return float(np.sum(ux[prior.range_index] ** 2 / prior.range_eigenvalues))
+    return float(ux**2 @ prior.pinv_eigenvalues)
 
 
 def prior_logdet(prior: SpectralPrior) -> float:

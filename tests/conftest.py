@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lgm.samplers import Chain
-from lgm.spectral import from_spectral, to_spectral
+from lgm.spectral import DensePrior, from_spectral, to_spectral
 
 
 @pytest.fixture
@@ -25,6 +26,20 @@ def make_singular_psd(n: int, rank: int, rng: np.random.Generator) -> np.ndarray
     eigs = np.zeros(n)
     eigs[:rank] = np.exp(rng.uniform(-1.0, 1.0, rank))
     return (q * eigs) @ q.T
+
+
+def null_directions(prior: DensePrior) -> np.ndarray:
+    """An orthonormal basis of the directions a DensePrior's basis leaves out, one per column."""
+    return scipy.linalg.null_space(prior.basis.T)
+
+
+def full_basis_prior(prior: DensePrior) -> DensePrior:
+    """The same covariance with a square basis: the range basis, then its null directions at eigenvalue 0."""
+    null = null_directions(prior)
+    return DensePrior(
+        eigenvalues=np.concatenate([prior.eigenvalues, np.zeros(null.shape[1])]),
+        basis=np.hstack([prior.basis, null]),
+    )
 
 
 def finite_difference_gradient(func, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -74,5 +89,5 @@ def check_state_coherence(chain_or_state, prior=None, target=None, ops=None, ato
         expect = float(state.grad_x @ from_spectral(prior, prior.eigenvalues * ugrad))
         assert abs(expect - state.grad_quad_x) <= atol * max(1.0, abs(expect)), "cached grad^T C grad is stale"
     if state.prior_quad_x is not None:
-        expect = float(np.sum(ux[prior.range_index] ** 2 / prior.range_eigenvalues))
+        expect = float(np.sum(ux[~prior.null_mask] ** 2 / prior.range_eigenvalues))
         assert abs(expect - state.prior_quad_x) <= atol * max(1.0, abs(expect)), "cached prior quadratic form is stale"

@@ -300,8 +300,8 @@ def test_08_per_iteration_operation_budgets():
         SamplerKind.AGRAD_Z: 2,
         SamplerKind.PCNL: 2,
         SamplerKind.AGRAD_U: 3,
-        SamplerKind.MGRAD: 3,
-        SamplerKind.PMALA: 3,
+        SamplerKind.MGRAD: 2,
+        SamplerKind.PMALA: 2,
         SamplerKind.ELLIPT: 1,
     }
     steps = 60

@@ -59,7 +59,7 @@ class DenseModel:
         n = prior.dimension
         self.target = target
         self.cells = prior.observed(np.arange(n))
-        basis = np.column_stack([from_spectral(prior, e) for e in np.eye(n)])
+        basis = np.column_stack([from_spectral(prior, e) for e in np.eye(prior.rank)])
         self.C = (basis * prior.eigenvalues) @ basis.T
         self.delta = delta
         half = 0.5 * delta
@@ -132,7 +132,7 @@ MH_KINDS = [k for k in SamplerKind if k is not SamplerKind.ELLIPT]
 def test_kernel_log_ratio_equals_the_dense_density_ratio(kind, prior_name):
     prior = PRIORS[prior_name]()
     target = make_target(prior)
-    x0 = from_spectral(prior, prior.sqrt_eigenvalues * np.random.default_rng(33).standard_normal(prior.dimension))
+    x0 = from_spectral(prior, prior.sqrt_eigenvalues * np.random.default_rng(33).standard_normal(prior.dimension)[: prior.rank])
     chain = Chain(kind, prior, target, np.random.default_rng(34), delta=DELTA, x0=x0)
     dense = DenseModel(prior, target, DELTA)
     accepted = 0
@@ -152,7 +152,7 @@ def test_noised_gradient_proposal_given_z_balances_the_joint_density(prior_name)
     ops = build_delta_operators(prior, DELTA)
     dense = DenseModel(prior, target, DELTA)
     rng = np.random.default_rng(35)
-    x0 = from_spectral(prior, prior.sqrt_eigenvalues * rng.standard_normal(prior.dimension))
+    x0 = from_spectral(prior, prior.sqrt_eigenvalues * rng.standard_normal(prior.dimension)[: prior.rank])
     state = init_chain_state(SamplerKind.AGRAD_Z, x0, prior, ops, target)
     for _ in range(STEPS):
         z = draw_noised_gradient_aux(state, DELTA, rng)

@@ -29,7 +29,7 @@ from lgm.harness import (
 )
 from lgm.samplers import DISPLAY_NAMES, MATVEC_BUDGET, Chain, SamplerKind
 from lgm.spectral import TorusPrior, eigendecompose_covariance
-from lgm.targets import GaussianRegression, PoissonCounts
+from lgm.targets import GaussianRegression, PoissonCounts, squared_exponential_kernel
 
 from conftest import make_spd
 
@@ -230,6 +230,37 @@ class TestDatasetIO:
         np.testing.assert_array_equal(grid.matrix(), bundle.covariance)
         grid = loaded({"type": "grid_exponential", "beta": 0.5})
         assert (grid.beta, grid.variance, grid.scale) == (0.5, 0.7, 3.0)
+
+    def test_squared_exponential_kernel_section_falls_back_to_the_manifest_key_by_key(self, tmp_path):
+        spec = {"n": 25, "seed": 7, "sigma2": 0.3, "lengthscale2": 0.05, "amplitude": 2.0}
+        bundle = simulate_dataset("regression", spec)
+        paths = write_dataset(bundle, tmp_path)
+
+        def loaded(kernel, source):
+            raw = {"model": "regression", **source, "kernel": kernel, "samplers": ["pcn"],
+                   "seeds": [0], "burn_in": 200, "collect": 150}
+            return resolve_dataset(validate_config(raw)).covariance
+
+        for source in ({"dataset": {"path": str(paths["data"])}}, {"simulate": spec}):
+            cov = loaded({"type": "squared_exponential"}, source)
+            np.testing.assert_array_equal(cov, bundle.covariance)
+            cov = loaded({"type": "squared_exponential", "lengthscale2": 0.5}, source)
+            np.testing.assert_array_equal(cov, squared_exponential_kernel(bundle.inputs, 2.0, 0.5))
+
+    def test_regression_sigma2_comes_from_the_config_or_the_manifest(self, tmp_path):
+        bundle = simulate_dataset("regression", {"n": 20, "seed": 5, "sigma2": 0.3})
+        paths = write_dataset(bundle, tmp_path)
+        raw = {"model": "regression", "dataset": {"path": str(paths["data"])},
+               "kernel": {"type": "squared_exponential"}, "samplers": ["pcn"], "seeds": [0],
+               "burn_in": 200, "collect": 150}
+        assert resolve_dataset(validate_config(raw)).target.noise_variance == 0.3
+        raw["likelihood"] = {"sigma2": 0.7}
+        assert resolve_dataset(validate_config(raw)).target.noise_variance == 0.7
+        # without the manifest neither source has it: the load refuses the file
+        paths["manifest"].unlink()
+        del raw["likelihood"]
+        with pytest.raises(ConfigError, match="sigma2"):
+            resolve_dataset(validate_config(raw))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):

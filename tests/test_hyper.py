@@ -17,10 +17,10 @@ from lgm.hyper import (
 )
 from lgm.oracle import dense_gaussian_logpdf
 from lgm.samplers import Chain, SamplerKind
-from lgm.spectral import OpCounter, eigendecompose_covariance, to_spectral
+from lgm.spectral import OpCounter, eigendecompose_covariance, from_spectral, to_spectral
 from lgm.targets import ConstantTarget, GaussianRegression
 
-from conftest import make_singular_psd, make_spd
+from conftest import full_basis_prior, make_singular_psd, make_spd, null_directions
 
 
 def scaled_covariance_model(base_cov, prior_variance=100.0):
@@ -65,14 +65,26 @@ class TestEvidenceAndPriorDensity:
         prior = eigendecompose_covariance(cov)
         x = rng.standard_normal(5)
         expected = dense_gaussian_logpdf(x, np.zeros(5), cov)
-        assert prior_state_logpdf(prior, to_spectral(prior, x)) == pytest.approx(expected, rel=1e-10)
+        assert prior_state_logpdf(prior, x, to_spectral(prior, x)) == pytest.approx(expected, rel=1e-10)
 
     def test_prior_state_logpdf_rejects_off_support_states(self, rng):
         prior = eigendecompose_covariance(make_singular_psd(4, 2, rng))
-        ux = np.array([1.0, 1.0, 0.5, 0.0])
-        assert prior_state_logpdf(prior, ux) == -math.inf
-        on_range = np.array([1.0, 1.0, 0.0, 0.0])
-        assert math.isfinite(prior_state_logpdf(prior, on_range))
+        on_range = from_spectral(prior, np.array([1.0, 1.0]))
+        off_range = on_range + 0.5 * null_directions(prior)[:, 0]
+        for p in (prior, full_basis_prior(prior)):
+            assert prior_state_logpdf(p, off_range, to_spectral(p, off_range)) == -math.inf
+            assert math.isfinite(prior_state_logpdf(p, on_range, to_spectral(p, on_range)))
+
+    def test_log_evidence_on_a_singular_prior_matches_scipy(self, rng):
+        # the two directions the range basis leaves out still carry variance delta/2
+        cov = make_singular_psd(6, 4, rng)
+        prior = eigendecompose_covariance(cov)
+        assert prior.rank == 4
+        delta = 0.7
+        z = rng.standard_normal(6)
+        expected = stats.multivariate_normal(np.zeros(6), cov + 0.5 * delta * np.eye(6)).logpdf(z)
+        assert log_evidence(z, prior, delta) == pytest.approx(expected, rel=1e-10)
+        assert log_evidence(z, full_basis_prior(prior), delta) == pytest.approx(expected, rel=1e-10)
 
 
 class TestHyperChain:

@@ -16,10 +16,10 @@ from lgm.samplers import (
     mh_accept,
     propose_given_noised_gradient_aux,
 )
-from lgm.spectral import OpCounter, TorusPrior, build_delta_operators, eigendecompose_covariance
+from lgm.spectral import OpCounter, TorusPrior, build_delta_operators, eigendecompose_covariance, from_spectral
 from lgm.targets import BernoulliLogit, ConstantTarget, GaussianRegression, GridKernel, TargetModel
 
-from conftest import check_state_coherence, make_singular_psd, make_spd
+from conftest import check_state_coherence, full_basis_prior, make_singular_psd, make_spd, null_directions
 
 ALL_KINDS = list(SamplerKind)
 MH_KINDS = [k for k in ALL_KINDS if k is not SamplerKind.ELLIPT]
@@ -182,6 +182,23 @@ class TestValueOnlyKernels:
         assert any(runs["gradient"][2]), "no proposal reached the broken half-space"
         assert any(runs["gradient"][1]), "chain never moved"
 
+    def test_ellipt_shrinks_past_a_nonfinite_gradient(self):
+        # a slice point whose gradient is NaN counts as off the slice, as pCN
+        # rejects it: the step shrinks on and never ends on a NaN gradient
+        target = HalfSpaceTarget(6, "gradient")
+        chain = make_chain(SamplerKind.ELLIPT, np.random.default_rng(23), target=target, x0=-np.ones(6))
+        reached = 0
+        for _ in range(300):
+            calls = target.evaluate_calls
+            chain.step()
+            assert np.isfinite(chain.state.grad_x).all()
+            assert chain.state.x[0] <= 0.0
+            # more gradient passes than the accepted point's: a slice point on
+            # the broken half-space was seen and passed over
+            reached += target.evaluate_calls - calls > 1
+        assert reached > 0, "no slice point reached the broken half-space"
+        check_state_coherence(chain)
+
 
 class TestPriorExactness:
     """With a flat likelihood the prior must be invariant for every kernel."""
@@ -228,8 +245,33 @@ class TestNullDirectionInvariance:
         target = BernoulliLogit(np.arange(6) % 2)
         chain = Chain(kind, prior, target, rng)
         chain.run(150)
-        null_component = prior.basis[:, 4:].T @ chain.state.x
-        np.testing.assert_allclose(null_component, 0.0, atol=1e-13)
+        null = null_directions(prior)
+        assert null.shape == (6, 2)
+        assert np.abs(chain.state.x).max() > 0.1, "the chain must move for the check to mean anything"
+        np.testing.assert_allclose(null.T @ chain.state.x, 0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_range_basis_matches_a_square_basis_with_zero_eigenvalues(self, kind):
+        # the rank-4 basis and the 6 x 6 basis that adds the two null directions
+        # at eigenvalue 0 consume one random stream and make the same moves
+        prior = eigendecompose_covariance(make_singular_psd(6, 4, np.random.default_rng(11)))
+        square = full_basis_prior(prior)
+        target = BernoulliLogit(np.arange(6) % 2)
+        chains = [Chain(kind, p, target, np.random.default_rng(9), delta=0.3) for p in (prior, square)]
+        for _ in range(200):
+            steps = [chain.step() for chain in chains]
+            assert steps[0].accepted == steps[1].accepted
+            np.testing.assert_allclose(chains[0].state.x, chains[1].state.x, rtol=0, atol=1e-12)
+        assert 0 < chains[0].state.accept_count
+        if kind is not SamplerKind.ELLIPT:
+            assert chains[0].state.accept_count < 200
+
+    def test_pmala_refuses_a_start_off_the_range(self):
+        prior = eigendecompose_covariance(make_singular_psd(6, 4, np.random.default_rng(11)))
+        x0 = from_spectral(prior, np.ones(4)) + 0.5 * null_directions(prior)[:, 0]
+        for p in (prior, full_basis_prior(prior)):
+            with pytest.raises(ValueError, match="null direction"):
+                Chain(SamplerKind.PMALA, p, BernoulliLogit(np.arange(6) % 2), np.random.default_rng(0), x0=x0)
 
 
 class TestChainMechanics:

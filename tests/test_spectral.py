@@ -16,7 +16,7 @@ from lgm.spectral import (
     to_spectral,
 )
 
-from conftest import make_singular_psd, make_spd
+from conftest import full_basis_prior, make_singular_psd, make_spd, null_directions
 
 
 class TestEigendecomposition:
@@ -37,17 +37,29 @@ class TestEigendecomposition:
         assert (prior.eigenvalues >= 0).all()
 
     def test_singular_covariance_gets_exact_zeros(self, rng):
+        # the 3 null directions leave the basis: the prior has exactly zero
+        # variance along them, and a positive eigenvalue on each of the 5 it keeps
         cov = make_singular_psd(8, 5, rng)
         prior = eigendecompose_covariance(cov)
-        assert (prior.eigenvalues[5:] == 0.0).all()
-        assert (prior.eigenvalues[:5] > 0).all()
+        assert (prior.dimension, prior.rank) == (8, 5)
+        assert prior.basis.shape == (8, 5) and prior.basis.flags.c_contiguous
+        assert prior.eigenvalues.shape == (5,)
+        assert (prior.eigenvalues > 0).all()
+        null = null_directions(prior)
+        assert null.shape == (8, 3)
+        np.testing.assert_allclose(cov @ null, 0.0, atol=1e-12)
+        recon = (prior.basis * prior.eigenvalues) @ prior.basis.T
+        np.testing.assert_allclose(recon, cov, atol=1e-12)
 
     def test_tiny_relative_eigenvalues_zeroed(self):
-        # one direction 1e-12 below the dominant scale falls under the null cutoff
+        # one direction 1e-12 below the dominant scale falls under the null
+        # cutoff: it leaves the basis, so no draw or transform reaches it
         cov = np.diag([1.0, 1e-12])
         prior = eigendecompose_covariance(cov)
+        assert (prior.dimension, prior.rank) == (2, 1)
         assert prior.eigenvalues[0] == pytest.approx(1.0)
-        assert prior.eigenvalues[1] == 0.0
+        assert to_spectral(prior, np.array([0.0, 1.0]))[0] == 0.0
+        np.testing.assert_array_equal(from_spectral(prior, np.array([3.0]))[1], 0.0)
 
     def test_jitter_shifts_spectrum(self, rng):
         cov = make_spd(6, rng)
@@ -81,7 +93,7 @@ class TestEigendecomposition:
 
     def test_dimension_property(self, rng):
         prior = eigendecompose_covariance(make_spd(7, rng))
-        assert prior.dimension == 7
+        assert prior.dimension == 7 and prior.rank == 7
         np.testing.assert_allclose(prior.sqrt_eigenvalues**2, prior.eigenvalues)
 
 
@@ -125,11 +137,14 @@ class TestDeltaOperators:
         np.testing.assert_allclose(ops.ratio_weight, (delta + 2 * gamma) / (delta + 4 * gamma), rtol=1e-12)
 
     def test_null_directions_stay_pinned(self, rng):
-        prior = eigendecompose_covariance(make_singular_psd(7, 4, rng))
+        # a basis that keeps its null directions gets zero proposal variance on them
+        prior = full_basis_prior(eigendecompose_covariance(make_singular_psd(7, 4, rng)))
+        assert prior.rank == 7
         ops = build_delta_operators(prior, 1.3)
         assert (ops.aux_var[4:] == 0).all()
         assert (ops.marginal_var[4:] == 0).all()
         np.testing.assert_allclose(ops.ratio_weight[4:], 1.0)
+        assert (ops.aux_var[:4] > 0).all() and (ops.marginal_var[:4] > 0).all()
 
     def test_sqrt_properties(self, rng):
         ops = build_delta_operators(eigendecompose_covariance(make_spd(5, rng)), 0.4)
@@ -195,23 +210,25 @@ class TestPriorDensityPieces:
         prior = eigendecompose_covariance(cov)
         x = rng.standard_normal(9)
         expected = x @ np.linalg.solve(cov, x)
-        assert prior_quad_form(prior, to_spectral(prior, x)) == pytest.approx(expected, rel=1e-10)
+        assert prior_quad_form(prior, x, to_spectral(prior, x)) == pytest.approx(expected, rel=1e-10)
 
     def test_quad_form_on_singular_prior_range_vector(self, rng):
         cov = make_singular_psd(6, 3, rng)
         prior = eigendecompose_covariance(cov)
         # a vector supported on the range of C
-        w = np.zeros(6)
-        w[:3] = rng.standard_normal(3)
-        expected = np.sum(w[:3] ** 2 / prior.eigenvalues[:3])
-        assert prior_quad_form(prior, w) == pytest.approx(expected, rel=1e-12)
+        w = rng.standard_normal(3)
+        x = from_spectral(prior, w)
+        expected = np.sum(w**2 / prior.eigenvalues)
+        assert prior_quad_form(prior, x, to_spectral(prior, x)) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(x @ np.linalg.pinv(cov) @ x, rel=1e-8)
 
     def test_quad_form_rejects_null_mass(self, rng):
+        # on the range basis and on a square basis that holds the null directions
         prior = eigendecompose_covariance(make_singular_psd(5, 2, rng))
-        w = np.zeros(5)
-        w[-1] = 0.5
-        with pytest.raises(ValueError, match="null direction"):
-            prior_quad_form(prior, w)
+        x = from_spectral(prior, rng.standard_normal(2)) + 0.5 * null_directions(prior)[:, -1]
+        for p in (prior, full_basis_prior(prior)):
+            with pytest.raises(ValueError, match="null direction"):
+                prior_quad_form(p, x, to_spectral(p, x))
 
     def test_logdet_full_rank(self, rng):
         cov = make_spd(7, rng)
@@ -224,5 +241,10 @@ class TestPriorDensityPieces:
         assert prior_logdet(prior) == pytest.approx(expected, rel=1e-12)
 
     def test_null_mask(self, rng):
+        # the range basis holds no null direction; a square basis marks its two
         prior = eigendecompose_covariance(make_singular_psd(6, 4, rng))
-        np.testing.assert_array_equal(prior.null_mask, [False] * 4 + [True] * 2)
+        np.testing.assert_array_equal(prior.null_mask, [False] * 4)
+        square = full_basis_prior(prior)
+        np.testing.assert_array_equal(square.null_mask, [False] * 4 + [True] * 2)
+        np.testing.assert_array_equal(square.pinv_eigenvalues[4:], 0.0)
+        np.testing.assert_allclose(square.pinv_eigenvalues[:4], 1.0 / prior.eigenvalues, rtol=1e-15)
