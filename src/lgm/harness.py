@@ -560,12 +560,12 @@ def resolve_dataset(config: ExperimentConfig) -> DatasetBundle:
         bundle = simulate_dataset(config.model, config.simulate)
         if config.kernel is not None:
             # inference kernel may deviate from the generative one
-            covariance, grid = _kernel_covariance(config.kernel, bundle)
+            covariance, grid, kernel = _kernel_covariance(config.kernel, bundle)
             bundle = DatasetBundle(
                 model=bundle.model,
                 target=bundle.target,
                 covariance=covariance,
-                manifest={**bundle.manifest, "kernel": config.kernel},
+                manifest={**bundle.manifest, "kernel": kernel},
                 inputs=bundle.inputs,
                 observations=bundle.observations,
                 grid=grid,
@@ -574,22 +574,23 @@ def resolve_dataset(config: ExperimentConfig) -> DatasetBundle:
     return load_dataset(config.model, config.dataset_path, config.kernel, config.likelihood)
 
 
-def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> tuple[np.ndarray, GridKernel | None]:
-    """The covariance of a kernel spec, and its GridKernel for a grid kernel."""
+def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> tuple[np.ndarray, GridKernel | None, dict]:
+    """The covariance of a kernel spec, its GridKernel for a grid kernel, and the spec with its resolved parameters."""
     if kernel["type"] == "squared_exponential":
         if bundle.inputs is None:
             raise ConfigError("squared_exponential kernel requires input locations")
-        cov = _squared_exponential(kernel, bundle.manifest, bundle.inputs)[0]
+        cov, kernel = _squared_exponential(kernel, bundle.manifest, bundle.inputs)
         if bundle.model == "multiclass":
             cov = np.kron(np.eye(bundle.target.dimension // cov.shape[0]), cov)
-        return cov, None
+        return cov, None, kernel
     side = kernel.get("side") or int(math.isqrt(bundle.target.dimension))
     if side * side != bundle.target.dimension:
         raise ConfigError(f"config.kernel: a {side}x{side} grid does not fit the dataset's {bundle.target.dimension} cells")
     amplitude = _kernel_parameter(kernel, bundle.manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
     beta = _kernel_parameter(kernel, bundle.manifest, "beta", DEFAULT_COX_BETA)
-    grid = GridKernel(side, amplitude, beta, _kernel_parameter(kernel, bundle.manifest, "scale_divisor", float(side)))
-    return grid.matrix(), grid
+    scale = _kernel_parameter(kernel, bundle.manifest, "scale_divisor", float(side))
+    grid = GridKernel(side, amplitude, beta, scale)
+    return grid.matrix(), grid, {**kernel, "side": side, "amplitude": amplitude, "beta": beta, "scale_divisor": scale}
 
 
 def _squared_exponential(kernel: dict, manifest: dict, inputs: np.ndarray) -> tuple[np.ndarray, dict]:

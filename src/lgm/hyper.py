@@ -23,7 +23,8 @@ evidence terms entirely, reproducing the fixed-covariance auxiliary
 gradient step bit for bit on a shared random stream.
 
 A proposed theta costs no eigendecomposition: a joint move costs three
-matvecs and a Gibbs move one.
+matvecs and a Gibbs move one, plus one for its support check when the
+prior has null directions.
 """
 
 from __future__ import annotations
@@ -162,7 +163,9 @@ def spectral_log_evidence(uz: np.ndarray, prior: SpectralPrior, delta: float, z_
     return -0.5 * total
 
 
-def prior_state_logpdf(prior: SpectralPrior, x: np.ndarray, ux: np.ndarray) -> float:
+def prior_state_logpdf(
+    prior: SpectralPrior, x: np.ndarray, ux: np.ndarray, counter: OpCounter | None = None
+) -> float:
     """log N(x | 0, C) from the field x and ux = U^T x, -inf when x leaves the support.
 
     Degenerate covariances use the pseudo-density on their range; a state
@@ -171,9 +174,14 @@ def prior_state_logpdf(prior: SpectralPrior, x: np.ndarray, ux: np.ndarray) -> f
     rather than an error.
     """
     try:
-        quad = prior_quad_form(prior, x, ux)
+        quad = prior_quad_form(prior, x, ux, counter)
     except ValueError:
         return -math.inf
+    return _range_logpdf(prior, quad)
+
+
+def _range_logpdf(prior: SpectralPrior, quad: float) -> float:
+    """log N(x | 0, C) on the prior's range, given quad = x^T C^+ x."""
     return -0.5 * (prior.range_eigenvalues.size * math.log(2.0 * math.pi) + prior_logdet(prior) + quad)
 
 
@@ -316,10 +324,11 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
 def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
     """Metropolis update of theta alone against N(x | 0, C(theta)) p(theta).
 
-    The latent state never moves here; proposals whose covariance loses the
-    support of the current x are rejected through a -inf density rather
-    than raised.  Costs one matvec per proposal: both densities read the
-    same U^T x, since every C(theta) shares the basis.
+    The latent state never moves here.  Every C(theta) shares the basis and
+    the null directions, so both densities read one U^T x and one support
+    check; a state off the support gets a -inf density rather than an
+    error.  Costs one matvec per proposal, and a second for the support
+    check when the prior has null directions.
     """
     theta_prop, new_prior, new_ops = _propose_theta(chain)
     if new_prior is None:
@@ -329,8 +338,8 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
     if chain.kappa > 0.0:
         x = chain.state.x
         ux = to_spectral(chain.prior, x, chain.counter)
-        lp_new = prior_state_logpdf(new_prior, x, ux)
-        lp_old = prior_state_logpdf(chain.prior, x, ux)
+        lp_old = prior_state_logpdf(chain.prior, x, ux, chain.counter)
+        lp_new = lp_old if lp_old == -math.inf else _range_logpdf(new_prior, float(ux**2 @ new_prior.pinv_eigenvalues))
         theta_ratio = (
             lp_new - lp_old + chain.model.prior.logpdf(theta_prop) - chain.model.prior.logpdf(chain.theta)
         )

@@ -197,7 +197,7 @@ def init_chain_state(
         if kind is SamplerKind.MGRAD:
             refresh_step_size_caches(state, kind, ops)
         else:
-            state.prior_quad_x = prior_quad_form(prior, x0, state.ux)
+            state.prior_quad_x = prior_quad_form(prior, x0, state.ux, counter)
     return state
 
 
@@ -462,8 +462,9 @@ def step_pmala(
     for delta < 2, which covers every tuned value seen in practice.  The
     proposal is y = a x + U w with a spectral w, so U^T y = a U^T x + w
     needs no transform, and y stays on the prior's range.  A state with
-    mass off the range is an error, checked once, when the chain starts;
-    the current state's prior quadratic form is carried on the state.
+    mass off the range is an error, checked once, when the chain starts,
+    with one counted matvec if the prior has null directions; the current
+    state's prior quadratic form is carried on the state.
     2 matvecs.
     """
     delta = ops.delta

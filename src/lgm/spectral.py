@@ -419,21 +419,19 @@ def shrinkage_maps(gamma: np.ndarray, delta: float, sigma2: float) -> ShrinkageM
     return ShrinkageMaps(pcnl=pcnl, marginal=marginal, posterior=posterior)
 
 
-def prior_quad_form(prior: SpectralPrior, x: np.ndarray, ux: np.ndarray) -> float:
+def prior_quad_form(
+    prior: SpectralPrior, x: np.ndarray, ux: np.ndarray, counter: OpCounter | None = None
+) -> float:
     """Return x^T C^+ x from the field x and its spectral coordinates ux = U^T x.
 
     Null directions (eigenvalues at or below 1e-10 * gamma_max, and those
     the basis leaves out) are skipped.  A state with non-negligible mass off
-    the prior's range is an error, since the prior cannot support it.  A
-    square basis holds that mass in ux's null coordinates; a basis that
-    leaves directions out needs x's range component rebuilt, with one
-    uncounted transform.
+    the prior's range is an error, since the prior cannot support it.  The
+    check rebuilds x's range component with one counted matvec; a prior
+    without null directions supports every state and costs none.
     """
-    if prior.rank == prior.dimension:
-        stray = ux[prior.null_mask]
-    else:
-        stray = x - prior.inverse_transform(np.where(prior.null_mask, 0.0, ux))
-    if stray.size:
+    if prior.rank < prior.dimension or prior.null_mask.any():
+        stray = x - from_spectral(prior, np.where(prior.null_mask, 0.0, ux), counter)
         size = float(np.abs(stray).max())
         if size > 1e-8 * max(1.0, float(np.abs(x).max())):
             raise ValueError(

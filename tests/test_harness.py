@@ -231,6 +231,15 @@ class TestDatasetIO:
         grid = loaded({"type": "grid_exponential", "beta": 0.5})
         assert (grid.beta, grid.variance, grid.scale) == (0.5, 0.7, 3.0)
 
+    def test_simulated_grid_kernel_section_records_the_parameters_it_used(self):
+        spec = {"side": 6, "seed": 6, "beta": 0.2, "amplitude": 0.7, "scale_divisor": 3.0}
+        raw = {"model": "cox", "simulate": spec, "kernel": {"type": "grid_exponential", "beta": 0.5},
+               "samplers": ["pcn"], "seeds": [0], "burn_in": 200, "collect": 150}
+        bundle = resolve_dataset(validate_config(raw))
+        assert (bundle.grid.beta, bundle.grid.variance, bundle.grid.scale) == (0.5, 0.7, 3.0)
+        assert bundle.manifest["kernel"] == {"type": "grid_exponential", "jitter": 0.0, "side": 6,
+                                             "beta": 0.5, "amplitude": 0.7, "scale_divisor": 3.0}
+
     def test_squared_exponential_kernel_section_falls_back_to_the_manifest_key_by_key(self, tmp_path):
         spec = {"n": 25, "seed": 7, "sigma2": 0.3, "lengthscale2": 0.05, "amplitude": 2.0}
         bundle = simulate_dataset("regression", spec)
@@ -239,13 +248,18 @@ class TestDatasetIO:
         def loaded(kernel, source):
             raw = {"model": "regression", **source, "kernel": kernel, "samplers": ["pcn"],
                    "seeds": [0], "burn_in": 200, "collect": 150}
-            return resolve_dataset(validate_config(raw)).covariance
+            return resolve_dataset(validate_config(raw))
 
+        # both paths record the parameters the covariance was built with
         for source in ({"dataset": {"path": str(paths["data"])}}, {"simulate": spec}):
-            cov = loaded({"type": "squared_exponential"}, source)
-            np.testing.assert_array_equal(cov, bundle.covariance)
-            cov = loaded({"type": "squared_exponential", "lengthscale2": 0.5}, source)
-            np.testing.assert_array_equal(cov, squared_exponential_kernel(bundle.inputs, 2.0, 0.5))
+            loaded_bundle = loaded({"type": "squared_exponential"}, source)
+            np.testing.assert_array_equal(loaded_bundle.covariance, bundle.covariance)
+            kernel = loaded_bundle.manifest["kernel"]
+            assert (kernel["lengthscale2"], kernel["amplitude"]) == (0.05, 2.0)
+            loaded_bundle = loaded({"type": "squared_exponential", "lengthscale2": 0.5}, source)
+            np.testing.assert_array_equal(loaded_bundle.covariance, squared_exponential_kernel(bundle.inputs, 2.0, 0.5))
+            kernel = loaded_bundle.manifest["kernel"]
+            assert (kernel["lengthscale2"], kernel["amplitude"]) == (0.5, 2.0)
 
     def test_regression_sigma2_comes_from_the_config_or_the_manifest(self, tmp_path):
         bundle = simulate_dataset("regression", {"n": 20, "seed": 5, "sigma2": 0.3})

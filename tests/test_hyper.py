@@ -17,7 +17,7 @@ from lgm.hyper import (
 )
 from lgm.oracle import dense_gaussian_logpdf
 from lgm.samplers import Chain, SamplerKind
-from lgm.spectral import OpCounter, eigendecompose_covariance, from_spectral, to_spectral
+from lgm.spectral import DensePrior, OpCounter, eigendecompose_covariance, from_spectral, to_spectral
 from lgm.targets import ConstantTarget, GaussianRegression
 
 from conftest import full_basis_prior, make_singular_psd, make_spd, null_directions
@@ -213,6 +213,32 @@ class TestHyperChain:
         for _ in range(20):
             chain.theta_step()
         np.testing.assert_array_equal(chain.state.x, x_before)
+
+    def test_gibbs_move_on_a_singular_prior_counts_its_one_support_check(self, monkeypatch):
+        # one U^T x and one rebuilt range component serve both densities; every transform is counted
+        gen = np.random.default_rng(23)
+        model = scaled_covariance_model(make_singular_psd(6, 4, gen))
+        target = GaussianRegression(gen.standard_normal(6), 0.5)
+        chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(5), mode="gibbs", kappa=0.25)
+        calls = []
+        for name in ("transform", "inverse_transform"):
+            method = getattr(DensePrior, name)
+            monkeypatch.setattr(DensePrior, name, lambda self, v, method=method: calls.append(v) or method(self, v))
+        for _ in range(20):
+            old_prior, old_theta = chain.prior, chain.theta
+            before, calls_before = chain.counter.matvecs, len(calls)
+            result = chain.theta_step()
+            assert chain.counter.matvecs - before == len(calls) - calls_before == 2
+            x = chain.state.x
+            new_prior = model.covariance(result.theta_proposal)
+            expected = (
+                prior_state_logpdf(new_prior, x, to_spectral(new_prior, x))
+                - prior_state_logpdf(old_prior, x, to_spectral(old_prior, x))
+                + model.prior.logpdf(result.theta_proposal)
+                - model.prior.logpdf(old_theta)
+            )
+            assert result.theta_log_ratio == pytest.approx(expected, rel=1e-12)
+        assert 0 < chain.theta_acceptance_rate < 1
 
 
 class TestRunHyperChain:
