@@ -6,9 +6,10 @@
     lgm validate                  brute-force oracle suite; nonzero exit on failure
     lgm downsample <counts.csv>   merge 2x2 grid cells of a Cox counts file
 
-Flags: --seed (override config seeds), --out (output directory), --threads
-(worker threads; env LGM_THREADS is the fallback), --trace (persist thinned
-sample traces).
+Flags, registered only on the subcommands that read them: --seed (override
+the config's seeds or the spec's seed; run, tune, simulate), --out (output
+directory; all), --threads (worker threads, env LGM_THREADS is the
+fallback; run), --trace (persist thinned sample traces; run).
 """
 
 from __future__ import annotations
@@ -25,52 +26,49 @@ import numpy as np
 
 from .adaptation import tune_and_freeze
 from .harness import (
-    KIND_STREAM_INDEX,
     ConfigError,
+    check_seed,
     down_sample_cox,
     format_summary_table,
     parse_config,
     resolve_dataset,
     run_benchmark,
+    seeded_chain,
     shared_prior,
     simulate_dataset,
     validate_simulate_spec,
     write_dataset,
 )
 from .oracle import run_validation_suite
-from .samplers import Chain
+
+
+FLAGS = {
+    "--seed": {"type": int, "help": "override the seeds of the config or spec with one seed"},
+    "--out": {"type": Path, "help": "output directory"},
+    "--threads": {"type": int, "help": "worker threads (fallback: LGM_THREADS)"},
+    "--trace": {"action": "store_true", "help": "persist thinned sample traces"},
+}
+
+# (name, positional argument, help, the flags the command reads)
+COMMANDS = (
+    ("run", "config", "execute a benchmark config", ("--seed", "--out", "--threads", "--trace")),
+    ("simulate", "spec", "draw a synthetic dataset", ("--seed", "--out")),
+    ("tune", "config", "burn-in tuning only", ("--seed", "--out")),
+    ("validate", None, "run the brute-force validation suite", ("--out",)),
+    ("downsample", "counts", "2x2-merge a Cox counts grid", ("--out",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lgm", description="Latent Gaussian model samplers and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="execute a benchmark config")
-    run_p.add_argument("config", type=Path)
-    _common_flags(run_p)
-
-    sim_p = sub.add_parser("simulate", help="draw a synthetic dataset")
-    sim_p.add_argument("spec", type=Path)
-    _common_flags(sim_p)
-
-    tune_p = sub.add_parser("tune", help="burn-in tuning only")
-    tune_p.add_argument("config", type=Path)
-    _common_flags(tune_p)
-
-    val_p = sub.add_parser("validate", help="run the brute-force validation suite")
-    _common_flags(val_p)
-
-    down_p = sub.add_parser("downsample", help="2x2-merge a Cox counts grid")
-    down_p.add_argument("counts", type=Path)
-    _common_flags(down_p)
+    for name, positional, help_text, flags in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            command.add_argument(positional, type=Path)
+        for flag in flags:
+            command.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (fallback: LGM_THREADS)")
-    p.add_argument("--trace", action="store_true", help="persist thinned sample traces")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,7 +102,7 @@ def _load_config(args: argparse.Namespace):
     config = parse_config(args.config)
     overrides = {}
     if args.seed is not None:
-        overrides["seeds"] = (args.seed,)
+        overrides["seeds"] = (check_seed(args.seed, "--seed"),)
     if args.out is not None:
         overrides["out"] = args.out
     if overrides:
@@ -149,8 +147,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     rows = []
     for kind in config.samplers:
         for seed in config.seeds:
-            rng = np.random.default_rng([seed, KIND_STREAM_INDEX[kind]])
-            chain = Chain(kind, prior, bundle.target, rng)
+            chain = seeded_chain(kind, prior, bundle.target, seed)
             tune = tune_and_freeze(chain, config.burn_in)
             rows.append(
                 {

@@ -1,11 +1,13 @@
 """Experiment orchestration: configs, datasets, benchmark runs, reports.
 
-A benchmark run is described by a strict JSON config (unknown keys are
-errors, messages carry field paths).  Datasets are either simulated from a
-spec or loaded from CSV; the prior covariance is decomposed once per
-benchmark and shared read-only across all (sampler, seed) runs, which
-execute on a thread pool with per-run failure isolation.  Reports land in
-``runs.csv`` (one row per run), ``summary.csv`` (one row per method, the
+A benchmark run is described by a strict JSON config, read against one
+field table per section: unknown keys, wrong types, non-finite numbers and
+values below a bound are errors, and messages carry field paths.  Datasets
+are either simulated from a spec or loaded from CSV, and every prior
+covariance comes from one kernel resolver.  The covariance is decomposed
+once per benchmark and shared read-only across all (sampler, seed) runs,
+which execute on a thread pool with per-run failure isolation.  Reports land
+in ``runs.csv`` (one row per run), ``summary.csv`` (one row per method, the
 fixed benchmark table), and ``summary.json`` (schema-versioned aggregate).
 Identical (config, seeds) reproduce identical outputs except for timing;
 the determinism digest hashes every non-timing field.
@@ -21,8 +23,9 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,66 +101,138 @@ class ConfigError(ValueError):
     """A config or dataset spec violates the schema; message names the field path."""
 
 
-def _check_keys(section: dict, allowed: dict, path: str) -> None:
+REQUIRED = object()  # the default of a key its section must give
+
+
+class Field(NamedTuple):
+    """One key of a config section: its JSON type, default and lower bound."""
+
+    kind: type  # int, float, str, dict or list
+    default: object = None  # None: the key stays None when left out
+    low: float | None = None  # lower bound of the value, or of each list entry
+    above: bool = False  # the value must exceed ``low``, not just reach it
+    item: type | None = None  # the entry type of a list the walker checks
+    choices: tuple = ()
+
+
+def _positive(default: float | None = None) -> Field:
+    return Field(float, default, 0.0, above=True)
+
+
+_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object", list: "a list"}
+
+CONFIG_TABLE = {
+    "model": Field(str, REQUIRED, choices=MODELS),
+    "dataset": Field(dict),
+    "simulate": Field(dict),
+    "kernel": Field(dict),
+    "likelihood": Field(dict, {}),
+    "samplers": Field(list, REQUIRED, item=str, choices=tuple(kind.value for kind in SamplerKind)),
+    "seeds": Field(list, REQUIRED, 0, item=int),
+    "burn_in": Field(int, DEFAULT_BURN_IN, 100),
+    "collect": Field(int, None, MIN_COLLECT),  # None: the model's default
+    "thin": Field(int, 1, 1),
+    "R": Field(int, DEFAULT_LATENT_STEPS_PER_MOVE, 1),
+    "hyper": Field(dict, {}),
+    "out": Field(str),
+}
+
+DATASET_TABLE = {"path": Field(str, REQUIRED)}
+
+HYPER_TABLE = {
+    "mode": Field(str, "fixed", choices=HYPER_MODES),
+    "kappa": Field(float, 0.25, 0.0),
+    "theta0": Field(list, (0.0,), item=float),
+    "prior_variance": _positive(DEFAULT_THETA_PRIOR_VARIANCE),
+}
+
+_SEED = Field(int, DEFAULT_SIMULATE_SEED, 0)
+_INPUT_MODEL_FIELDS = {
+    "seed": _SEED,
+    "n": Field(int, 200, 2),
+    "input_range": Field(list, DEFAULT_INPUT_RANGE, item=float),
+    "lengthscale2": _positive(1.0),
+    "amplitude": _positive(1.0),
+}
+
+# The simulate defaults of the kernel parameters are the defaults a kernel
+# section falls back to when neither it nor the dataset's manifest has them.
+SIMULATE_TABLES = {
+    "regression": {**_INPUT_MODEL_FIELDS, "sigma2": _positive(1.0)},
+    "binary": _INPUT_MODEL_FIELDS,
+    "multiclass": {**_INPUT_MODEL_FIELDS, "classes": Field(int, 3, 2)},
+    "cox": {
+        "seed": _SEED,
+        "side": Field(int, 16, 2),
+        "beta": _positive(DEFAULT_COX_BETA),
+        "amplitude": _positive(DEFAULT_COX_AMPLITUDE),
+        "mean_count": _positive(DEFAULT_COX_MEAN_COUNT),
+        "scale_divisor": _positive(),  # None: the side
+    },
+}
+
+_KERNEL_COMMON = {"type": Field(str, REQUIRED, choices=("grid_exponential", "squared_exponential")),
+                 "jitter": Field(float, 0.0, 0.0)}
+
+# Kernel parameters a section leaves out stay None: _kernel_covariance resolves them.
+KERNEL_TABLES = {
+    "squared_exponential": {**_KERNEL_COMMON, "lengthscale2": _positive(), "amplitude": _positive()},
+    "grid_exponential": {**_KERNEL_COMMON, "side": Field(int, None, 2), "beta": _positive(),
+                         "amplitude": _positive(), "scale_divisor": _positive()},
+}
+
+LIKELIHOOD_TABLES = {
+    "regression": {"sigma2": _positive()},
+    "cox": {"offset": Field(float), "exposure": _positive()},
+    "binary": {},
+    "multiclass": {"classes": Field(int, None, 2)},
+}
+
+
+def _walk(section, table: dict, path: str) -> dict:
+    """Read a config section against its field table: every key of the table, checked or defaulted."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' at {path}; allowed keys: {sorted(allowed)}")
+        if key not in table:
+            raise ConfigError(f"unknown key {path}.{key}; allowed keys: {sorted(table)}")
+    return {key: _field_value(section.get(key), field, f"{path}.{key}") for key, field in table.items()}
 
 
-def _typed(section: dict, key: str, types, path: str, default=None, required: bool = False):
-    if key not in section or section[key] is None:
-        if required:
-            raise ConfigError(f"missing required key '{key}' at {path}")
-        return default
-    value = section[key]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
+def _field_value(value, field: Field, path: str):
+    if value is None:
+        if field.default is REQUIRED:
+            raise ConfigError(f"missing required key {path}")
+        if field.default is None:
+            return None
+        value = field.default
+    if field.item is None:
+        return _checked(value, field.kind, field, path)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+    return [_checked(v, field.item, field, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _checked(value, kind: type, field: Field, path: str):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key} must be {types}, got {type(value).__name__}")
+    if not isinstance(value, kind) or isinstance(value, bool) or kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if field.choices and value not in field.choices:
+        raise ConfigError(f"{path} must be one of {list(field.choices)}, got {value!r}")
+    if field.low is not None and (value <= field.low if field.above else value < field.low):
+        raise ConfigError(f"{path} must be {'above' if field.above else 'at least'} {field.low!r}, got {value!r}")
     return value
 
 
-SIMULATE_FIELDS = {
-    "regression": {"n", "sigma2", "seed", "input_range", "lengthscale2", "amplitude"},
-    "binary": {"n", "seed", "input_range", "lengthscale2", "amplitude"},
-    "multiclass": {"n", "classes", "seed", "input_range", "lengthscale2", "amplitude"},
-    "cox": {"side", "beta", "amplitude", "mean_count", "seed", "scale_divisor"},
-}
-
-KERNEL_FIELDS = {
-    "squared_exponential": {"type", "lengthscale2", "amplitude", "jitter"},
-    "grid_exponential": {"type", "side", "beta", "amplitude", "scale_divisor", "jitter"},
-}
-
-LIKELIHOOD_FIELDS = {
-    "regression": {"sigma2"},
-    "cox": {"offset", "exposure"},
-    "binary": set(),
-    "multiclass": {"classes"},
-}
-
-HYPER_SECTION_FIELDS = {"mode", "kappa", "theta0", "prior_variance"}
-
-CONFIG_FIELDS = {
-    "model",
-    "dataset",
-    "simulate",
-    "kernel",
-    "likelihood",
-    "samplers",
-    "seeds",
-    "burn_in",
-    "collect",
-    "thin",
-    "R",
-    "hyper",
-    "out",
-}
+def check_seed(seed, path: str) -> int:
+    """A chain seed, checked by the rule of ``config.seeds``."""
+    return _checked(seed, int, CONFIG_TABLE["seeds"], path)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated benchmark description; see parse_config for the JSON schema."""
+    """Validated benchmark description; the field tables above are its JSON schema."""
 
     model: str
     dataset_path: Path | None
@@ -182,208 +257,89 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
     return validate_config(raw, base_dir=path.parent)
 
 
 def validate_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Validate a config dict; unknown keys anywhere are errors."""
+    """Validate a config dict against the field tables; unknown keys anywhere are errors."""
     base_dir = base_dir or Path.cwd()
-    _check_keys(raw, {k: None for k in CONFIG_FIELDS}, "config")
-
-    model = _typed(raw, "model", str, "config", required=True)
-    if model not in MODELS:
-        raise ConfigError(f"config.model must be one of {MODELS}, got {model!r}")
-
-    dataset = raw.get("dataset")
-    simulate = raw.get("simulate")
-    if (dataset is None) == (simulate is None):
+    config = _walk(raw, CONFIG_TABLE, "config")
+    model = config["model"]
+    if (config["dataset"] is None) == (config["simulate"] is None):
         raise ConfigError("config must provide exactly one of 'dataset' and 'simulate'")
-
-    dataset_path: Path | None = None
-    if dataset is not None:
-        if not isinstance(dataset, dict):
-            raise ConfigError("config.dataset must be an object with a 'path' key")
-        _check_keys(dataset, {"path": None}, "config.dataset")
-        path_str = _typed(dataset, "path", str, "config.dataset", required=True)
-        dataset_path = (base_dir / path_str).resolve() if not Path(path_str).is_absolute() else Path(path_str)
-
-    if simulate is not None:
-        if not isinstance(simulate, dict):
-            raise ConfigError("config.simulate must be an object")
-        simulate = validate_simulate_spec(model, simulate, path="config.simulate")
-
-    kernel = raw.get("kernel")
-    if kernel is not None:
-        kernel = validate_kernel_spec(kernel, path="config.kernel")
-    if kernel is None and dataset_path is not None and model != "cox":
-        raise ConfigError(f"config.kernel is required when loading a {model} dataset from a file")
-
-    likelihood = raw.get("likelihood") or {}
-    if not isinstance(likelihood, dict):
-        raise ConfigError("config.likelihood must be an object")
-    _check_keys(likelihood, {k: None for k in LIKELIHOOD_FIELDS[model]}, "config.likelihood")
-    if simulate is not None and likelihood:
+    dataset_path = simulate = kernel = None
+    if config["dataset"] is not None:
+        dataset_path = _resolve_path(base_dir, _walk(config["dataset"], DATASET_TABLE, "config.dataset")["path"])
+    else:
+        simulate = validate_simulate_spec(model, config["simulate"], path="config.simulate")
+    if config["kernel"] is not None:
+        kernel = validate_kernel_spec(config["kernel"], path="config.kernel")
+    likelihood = _walk(config["likelihood"], LIKELIHOOD_TABLES[model], "config.likelihood")
+    if simulate is not None and config["likelihood"]:
         raise ConfigError("config.likelihood is derived from 'simulate'; remove one of them")
 
-    samplers_raw = raw.get("samplers")
-    if not isinstance(samplers_raw, list) or not samplers_raw:
-        raise ConfigError("config.samplers must be a nonempty list of sampler names")
-    valid_tokens = [k.value for k in SamplerKind]
-    samplers: list[SamplerKind] = []
-    for i, token in enumerate(samplers_raw):
-        if not isinstance(token, str) or token not in valid_tokens:
-            raise ConfigError(
-                f"config.samplers[{i}] must be one of {valid_tokens}, got {token!r}"
-            )
-        kind = SamplerKind(token)
-        if kind in samplers:
-            raise ConfigError(f"config.samplers[{i}] repeats {token!r}")
-        samplers.append(kind)
+    for key in ("samplers", "seeds"):
+        if not config[key]:
+            raise ConfigError(f"config.{key} must be a nonempty list")
+    samplers = tuple(SamplerKind(token) for token in config["samplers"])
+    if len(set(samplers)) < len(samplers):
+        raise ConfigError(f"config.samplers repeats a sampler: {config['samplers']}")
 
-    seeds_raw = raw.get("seeds")
-    if not isinstance(seeds_raw, list) or not seeds_raw:
-        raise ConfigError("config.seeds must be a nonempty list of integers")
-    seeds: list[int] = []
-    for i, seed in enumerate(seeds_raw):
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"config.seeds[{i}] must be a nonnegative integer, got {seed!r}")
-        seeds.append(seed)
-
-    burn_in = _typed(raw, "burn_in", int, "config", default=DEFAULT_BURN_IN)
-    if burn_in < 100:
-        raise ConfigError(f"config.burn_in must be at least 100, got {burn_in!r}")
-    default_collect = COX_DEFAULT_COLLECT if model == "cox" else DEFAULT_COLLECT
-    collect = _typed(raw, "collect", int, "config", default=default_collect)
-    if collect < MIN_COLLECT:
-        raise ConfigError(f"config.collect must be at least {MIN_COLLECT}, got {collect!r}")
-    thin = _typed(raw, "thin", int, "config", default=1)
-    if thin < 1:
-        raise ConfigError(f"config.thin must be at least 1, got {thin!r}")
-    r_steps = _typed(raw, "R", int, "config", default=DEFAULT_LATENT_STEPS_PER_MOVE)
-    if r_steps < 1:
-        raise ConfigError(f"config.R must be at least 1, got {r_steps!r}")
-
-    hyper = raw.get("hyper") or {}
-    if not isinstance(hyper, dict):
-        raise ConfigError("config.hyper must be an object")
-    _check_keys(hyper, {k: None for k in HYPER_SECTION_FIELDS}, "config.hyper")
-    hyper_mode = _typed(hyper, "mode", str, "config.hyper", default="fixed")
-    if hyper_mode not in HYPER_MODES:
-        raise ConfigError(f"config.hyper.mode must be one of {HYPER_MODES}, got {hyper_mode!r}")
-    if hyper_mode != "fixed" and samplers != [SamplerKind.AGRAD_Z]:
+    hyper = _walk(config["hyper"], HYPER_TABLE, "config.hyper")
+    if hyper["mode"] != "fixed" and samplers != (SamplerKind.AGRAD_Z,):
         raise ConfigError(
             "hyperparameter learning updates the latent field with the agrad-z kernel; "
             "set config.samplers to ['agrad-z']"
         )
-    kappa = _typed(hyper, "kappa", float, "config.hyper", default=0.25)
-    if kappa < 0:
-        raise ConfigError(f"config.hyper.kappa must be nonnegative, got {kappa!r}")
-    theta0 = hyper.get("theta0", [0.0])
-    if not isinstance(theta0, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in theta0):
-        raise ConfigError("config.hyper.theta0 must be a list of numbers")
-    if len(theta0) != 1:
+    if len(hyper["theta0"]) != 1:
         raise ConfigError(
-            f"config.hyper.theta0 must hold exactly one number, the log-amplitude; got {len(theta0)}"
+            f"config.hyper.theta0 must hold exactly one number, the log-amplitude; got {len(hyper['theta0'])}"
         )
-    prior_variance = _typed(hyper, "prior_variance", float, "config.hyper", default=DEFAULT_THETA_PRIOR_VARIANCE)
-    if prior_variance <= 0:
-        raise ConfigError(f"config.hyper.prior_variance must be positive, got {prior_variance!r}")
-    hyper_clean = {"mode": hyper_mode, "kappa": kappa, "theta0": [float(v) for v in theta0], "prior_variance": prior_variance}
-
-    out = raw.get("out")
-    if out is not None:
-        out = _typed(raw, "out", str, "config")
-        out = (base_dir / out).resolve() if not Path(out).is_absolute() else Path(out)
+    collect = config["collect"] or (COX_DEFAULT_COLLECT if model == "cox" else DEFAULT_COLLECT)
 
     return ExperimentConfig(
         model=model,
         dataset_path=dataset_path,
         simulate=simulate,
         kernel=kernel,
-        likelihood=dict(likelihood),
-        samplers=tuple(samplers),
-        seeds=tuple(seeds),
-        burn_in=burn_in,
+        likelihood=likelihood,
+        samplers=samplers,
+        seeds=tuple(config["seeds"]),
+        burn_in=config["burn_in"],
         collect=collect,
-        thin=thin,
-        r_steps=r_steps,
-        hyper_mode=hyper_mode,
-        hyper=hyper_clean,
-        out=out,
+        thin=config["thin"],
+        r_steps=config["R"],
+        hyper_mode=hyper["mode"],
+        hyper=hyper,
+        out=None if config["out"] is None else _resolve_path(base_dir, config["out"]),
     )
+
+
+def _resolve_path(base_dir: Path, path: str) -> Path:
+    return Path(path) if Path(path).is_absolute() else (base_dir / path).resolve()
 
 
 def validate_simulate_spec(model: str, spec: dict, path: str = "simulate") -> dict:
     """Validate a simulation spec and fill its defaults."""
-    if model not in MODELS:
+    if model not in SIMULATE_TABLES:
         raise ConfigError(f"{path}: unknown model {model!r}")
-    _check_keys(spec, {k: None for k in SIMULATE_FIELDS[model]}, path)
-    out = {"seed": _typed(spec, "seed", int, path, default=DEFAULT_SIMULATE_SEED)}
+    out = _walk(spec, SIMULATE_TABLES[model], path)
     if model == "cox":
-        out["side"] = _typed(spec, "side", int, path, default=16)
-        if out["side"] < 2 or out["side"] % 2:
+        if out["side"] % 2:
             raise ConfigError(f"{path}.side must be an even integer >= 2, got {out['side']!r}")
-        out["beta"] = _typed(spec, "beta", float, path, default=DEFAULT_COX_BETA)
-        out["amplitude"] = _typed(spec, "amplitude", float, path, default=DEFAULT_COX_AMPLITUDE)
-        out["mean_count"] = _typed(spec, "mean_count", float, path, default=DEFAULT_COX_MEAN_COUNT)
-        out["scale_divisor"] = _typed(spec, "scale_divisor", float, path, default=float(out["side"]))
-        for key in ("beta", "amplitude", "mean_count", "scale_divisor"):
-            if out[key] <= 0:
-                raise ConfigError(f"{path}.{key} must be positive, got {out[key]!r}")
-        return out
-    out["n"] = _typed(spec, "n", int, path, default=200)
-    if out["n"] < 2:
-        raise ConfigError(f"{path}.n must be at least 2, got {out['n']!r}")
-    rng_range = spec.get("input_range", list(DEFAULT_INPUT_RANGE))
-    if (
-        not isinstance(rng_range, list)
-        or len(rng_range) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng_range)
-        or not rng_range[0] < rng_range[1]
-    ):
+        if out["scale_divisor"] is None:
+            out["scale_divisor"] = float(out["side"])
+    elif len(out["input_range"]) != 2 or not out["input_range"][0] < out["input_range"][1]:
         raise ConfigError(f"{path}.input_range must be [lo, hi] with lo < hi")
-    out["input_range"] = [float(rng_range[0]), float(rng_range[1])]
-    out["lengthscale2"] = _typed(spec, "lengthscale2", float, path, default=1.0)
-    out["amplitude"] = _typed(spec, "amplitude", float, path, default=1.0)
-    for key in ("lengthscale2", "amplitude"):
-        if out[key] <= 0:
-            raise ConfigError(f"{path}.{key} must be positive, got {out[key]!r}")
-    if model == "regression":
-        out["sigma2"] = _typed(spec, "sigma2", float, path, default=1.0)
-        if out["sigma2"] <= 0:
-            raise ConfigError(f"{path}.sigma2 must be positive, got {out['sigma2']!r}")
-    if model == "multiclass":
-        out["classes"] = _typed(spec, "classes", int, path, default=3)
-        if out["classes"] < 2:
-            raise ConfigError(f"{path}.classes must be at least 2, got {out['classes']!r}")
     return out
 
 
 def validate_kernel_spec(spec: dict, path: str = "kernel") -> dict:
+    """Validate a kernel section; the kernel parameters it leaves out stay None."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path} must be an object")
-    ktype = _typed(spec, "type", str, path, required=True)
-    if ktype not in KERNEL_FIELDS:
-        raise ConfigError(f"{path}.type must be one of {sorted(KERNEL_FIELDS)}, got {ktype!r}")
-    _check_keys(spec, {k: None for k in KERNEL_FIELDS[ktype]}, path)
-    out = {"type": ktype, "jitter": _typed(spec, "jitter", float, path, default=0.0)}
-    if out["jitter"] < 0:
-        raise ConfigError(f"{path}.jitter must be nonnegative, got {out['jitter']!r}")
-    # Unwritten kernel parameters stay None: see _kernel_parameter.
-    if ktype == "squared_exponential":
-        keys = ("lengthscale2", "amplitude")
-    else:
-        keys = ("beta", "amplitude", "scale_divisor")
-        out["side"] = _typed(spec, "side", int, path)
-        if out["side"] is not None and out["side"] < 2:
-            raise ConfigError(f"{path}.side must be at least 2, got {out['side']!r}")
-    for key in keys:
-        value = out[key] = _typed(spec, key, float, path)
-        if value is not None and value <= 0:
-            raise ConfigError(f"{path}.{key} must be positive, got {value!r}")
-    return out
+    ktype = _field_value(spec.get("type"), _KERNEL_COMMON["type"], f"{path}.type")
+    return _walk(spec, KERNEL_TABLES[ktype], path)
 
 
 @dataclass
@@ -411,50 +367,44 @@ def simulate_dataset(model: str, spec: dict, rng: np.random.Generator | None = N
     """
     spec = validate_simulate_spec(model, dict(spec), path="simulate")
     rng = rng if rng is not None else np.random.default_rng(spec["seed"])
+    manifest = {"model": model, **spec}
 
     if model == "cox":
         side = spec["side"]
-        grid = GridKernel(side, spec["amplitude"], spec["beta"], spec["scale_divisor"])
-        cov = grid.matrix()
+        cov, grid, _ = _kernel_covariance(None, spec, model, side * side, None)
         offset = math.log(spec["mean_count"]) - 0.5 * spec["amplitude"]
         exposure = 1.0 / side**2
         latent = _draw_from_prior(cov, rng)
         counts = rng.poisson(exposure * np.exp(latent + offset)).reshape(side, side)
-        manifest = {
-            "model": model,
-            **spec,
-            "offset": offset,
-            "cell_area": exposure,
-        }
+        manifest.update(offset=offset, cell_area=exposure)
         target = PoissonCounts(counts, exposure=exposure, offset=offset)
         return DatasetBundle(model, target, cov, manifest, observations=counts, grid=grid)
 
     lo, hi = spec["input_range"]
-    inputs = np.linspace(lo, hi, spec["n"])
-    base_cov = squared_exponential_kernel(inputs, variance=spec["amplitude"], lengthscale2=spec["lengthscale2"])
-    manifest = {"model": model, **spec}
+    n = spec["n"]
+    inputs = np.linspace(lo, hi, n)
+    cov, _, _ = _kernel_covariance(None, spec, model, n * spec.get("classes", 1), inputs)
 
     if model == "regression":
-        latent = _draw_from_prior(base_cov, rng)
-        y = latent + math.sqrt(spec["sigma2"]) * rng.standard_normal(spec["n"])
+        latent = _draw_from_prior(cov, rng)
+        y = latent + math.sqrt(spec["sigma2"]) * rng.standard_normal(n)
         target = GaussianRegression(y, noise_variance=spec["sigma2"])
-        return DatasetBundle(model, target, base_cov, manifest, inputs=inputs, observations=y)
+        return DatasetBundle(model, target, cov, manifest, inputs=inputs, observations=y)
 
     if model == "binary":
-        latent = _draw_from_prior(base_cov, rng)
+        latent = _draw_from_prior(cov, rng)
         probs = 1.0 / (1.0 + np.exp(-latent))
-        labels = (rng.random(spec["n"]) < probs).astype(int)
+        labels = (rng.random(n) < probs).astype(int)
         target = BernoulliLogit(labels)
-        return DatasetBundle(model, target, base_cov, manifest, inputs=inputs, observations=labels)
+        return DatasetBundle(model, target, cov, manifest, inputs=inputs, observations=labels)
 
     # multiclass: one independent latent field per class, class-major stacking
     k = spec["classes"]
-    fields = np.stack([_draw_from_prior(base_cov, rng) for _ in range(k)])
+    fields = np.stack([_draw_from_prior(cov[:n, :n], rng) for _ in range(k)])
     logits = fields - fields.max(axis=0, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=0, keepdims=True)
-    labels = np.array([rng.choice(k, p=probs[:, i]) for i in range(spec["n"])])
-    cov = np.kron(np.eye(k), base_cov)
+    labels = np.array([rng.choice(k, p=probs[:, i]) for i in range(n)])
     target = CategoricalSoftmax(labels, n_classes=k)
     return DatasetBundle(model, target, cov, manifest, inputs=inputs, observations=labels)
 
@@ -499,114 +449,111 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
 
     A ``<stem>.manifest.json`` sidecar, when present, supplies generation
     hyperparameters; explicit ``kernel``/``likelihood`` entries win over it.
+    Without a kernel spec the covariance is the model's own kernel, its
+    parameters from the manifest (see ``_kernel_covariance``).
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"dataset file {path} does not exist")
-    likelihood = dict(likelihood or {})
+    likelihood = likelihood or {}
     manifest: dict = {}
     sidecar = path.with_suffix(".manifest.json") if path.suffix == ".csv" else None
     if sidecar is not None and sidecar.exists():
         manifest = json.loads(sidecar.read_text(encoding="utf-8"))
 
+    inputs = None
     if model == "cox":
-        counts = np.loadtxt(path, delimiter=",")
-        counts = np.atleast_2d(counts)
-        if counts.shape[0] != counts.shape[1]:
-            raise ConfigError(f"cox counts file must be a square grid, got shape {counts.shape}")
-        side = counts.shape[0]
-        beta = _kernel_parameter(kernel, manifest, "beta", DEFAULT_COX_BETA)
-        amplitude = _kernel_parameter(kernel, manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
-        scale = _kernel_parameter(kernel, manifest, "scale_divisor", float(side))
-        exposure = likelihood.get("exposure", manifest.get("cell_area", 1.0 / side**2))
-        default_offset = math.log(DEFAULT_COX_MEAN_COUNT) - 0.5 * amplitude
-        offset = likelihood.get("offset", manifest.get("offset", default_offset))
-        grid = GridKernel(side, amplitude, beta, scale)
-        target = PoissonCounts(counts, exposure=exposure, offset=offset)
-        meta = {"model": model, "side": side, "beta": beta, "amplitude": amplitude,
-                "scale_divisor": scale, "cell_area": exposure, "offset": offset, "source": str(path)}
-        return DatasetBundle(model, target, grid.matrix(), meta, observations=counts, grid=grid)
-
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    if rows.dtype.names is None or "input" not in rows.dtype.names:
-        raise ConfigError(f"dataset file {path} must have a header with an 'input' column")
-    inputs = np.atleast_1d(rows["input"])
-    if kernel is None:
-        raise ConfigError(f"a kernel spec is required to load a {model} dataset")
-    cov, kernel = _squared_exponential(kernel, manifest, inputs)
+        observations = np.atleast_2d(np.loadtxt(path, delimiter=","))
+        if observations.shape[0] != observations.shape[1]:
+            raise ConfigError(f"cox counts file must be a square grid, got shape {observations.shape}")
+        cells = observations.size
+    else:
+        rows = np.genfromtxt(path, delimiter=",", names=True)
+        if rows.dtype.names is None or "input" not in rows.dtype.names:
+            raise ConfigError(f"dataset file {path} must have a header with an 'input' column")
+        column = "y" if model == "regression" else "label"
+        if column not in rows.dtype.names:
+            raise ConfigError(f"{model} dataset {path} must have a '{column}' column")
+        inputs = np.atleast_1d(rows["input"])
+        observations = np.atleast_1d(rows[column])
+        if model != "regression":
+            observations = observations.astype(int)
+        cells = inputs.size
+        if model == "multiclass":
+            classes = int(_first(observations.max() + 1, likelihood.get("classes"), manifest.get("classes")))
+            cells *= classes
+    cov, grid, kernel = _kernel_covariance(kernel, manifest, model, cells, inputs)
     meta = {"model": model, "kernel": kernel, "source": str(path)}
 
-    if model == "regression":
-        if "y" not in rows.dtype.names:
-            raise ConfigError(f"regression dataset {path} must have a 'y' column")
-        y = np.atleast_1d(rows["y"])
-        sigma2 = likelihood.get("sigma2", manifest.get("sigma2"))
+    if model == "cox":
+        exposure = _first(1.0 / cells, likelihood.get("exposure"), manifest.get("cell_area"))
+        default_offset = math.log(DEFAULT_COX_MEAN_COUNT) - 0.5 * kernel["amplitude"]
+        offset = _first(default_offset, likelihood.get("offset"), manifest.get("offset"))
+        meta.update(cell_area=exposure, offset=offset)
+        target = PoissonCounts(observations, exposure=exposure, offset=offset)
+    elif model == "regression":
+        sigma2 = _first(None, likelihood.get("sigma2"), manifest.get("sigma2"))
         if sigma2 is None:
             raise ConfigError("regression noise variance sigma2 not found in likelihood config or manifest")
-        return DatasetBundle(model, GaussianRegression(y, float(sigma2)), cov, meta, inputs=inputs, observations=y)
-
-    if "label" not in rows.dtype.names:
-        raise ConfigError(f"{model} dataset {path} must have a 'label' column")
-    labels = np.atleast_1d(rows["label"]).astype(int)
-    if model == "binary":
-        return DatasetBundle(model, BernoulliLogit(labels), cov, meta, inputs=inputs, observations=labels)
-    k = int(likelihood.get("classes", manifest.get("classes", labels.max() + 1)))
-    cov_full = np.kron(np.eye(k), cov)
-    return DatasetBundle(model, CategoricalSoftmax(labels, n_classes=k), cov_full, meta, inputs=inputs, observations=labels)
+        target = GaussianRegression(observations, float(sigma2))
+    elif model == "binary":
+        target = BernoulliLogit(observations)
+    else:
+        target = CategoricalSoftmax(observations, n_classes=classes)
+    return DatasetBundle(model, target, cov, meta, inputs=inputs, observations=observations, grid=grid)
 
 
 def resolve_dataset(config: ExperimentConfig) -> DatasetBundle:
-    if config.simulate is not None:
-        bundle = simulate_dataset(config.model, config.simulate)
-        if config.kernel is not None:
-            # inference kernel may deviate from the generative one
-            covariance, grid, kernel = _kernel_covariance(config.kernel, bundle)
-            bundle = DatasetBundle(
-                model=bundle.model,
-                target=bundle.target,
-                covariance=covariance,
-                manifest={**bundle.manifest, "kernel": kernel},
-                inputs=bundle.inputs,
-                observations=bundle.observations,
-                grid=grid,
-            )
+    if config.simulate is None:
+        return load_dataset(config.model, config.dataset_path, config.kernel, config.likelihood)
+    bundle = simulate_dataset(config.model, config.simulate)
+    if config.kernel is None:
         return bundle
-    return load_dataset(config.model, config.dataset_path, config.kernel, config.likelihood)
+    # the inference kernel may deviate from the generating one
+    covariance, grid, kernel = _kernel_covariance(
+        config.kernel, bundle.manifest, config.model, bundle.target.dimension, bundle.inputs
+    )
+    return replace(bundle, covariance=covariance, grid=grid, manifest={**bundle.manifest, "kernel": kernel})
 
 
-def _kernel_covariance(kernel: dict, bundle: DatasetBundle) -> tuple[np.ndarray, GridKernel | None, dict]:
-    """The covariance of a kernel spec, its GridKernel for a grid kernel, and the spec with its resolved parameters."""
-    if kernel["type"] == "squared_exponential":
-        if bundle.inputs is None:
-            raise ConfigError("squared_exponential kernel requires input locations")
-        cov, kernel = _squared_exponential(kernel, bundle.manifest, bundle.inputs)
-        if bundle.model == "multiclass":
-            cov = np.kron(np.eye(bundle.target.dimension // cov.shape[0]), cov)
-        return cov, None, kernel
-    side = kernel.get("side") or int(math.isqrt(bundle.target.dimension))
-    if side * side != bundle.target.dimension:
-        raise ConfigError(f"config.kernel: a {side}x{side} grid does not fit the dataset's {bundle.target.dimension} cells")
-    amplitude = _kernel_parameter(kernel, bundle.manifest, "amplitude", DEFAULT_COX_AMPLITUDE)
-    beta = _kernel_parameter(kernel, bundle.manifest, "beta", DEFAULT_COX_BETA)
-    scale = _kernel_parameter(kernel, bundle.manifest, "scale_divisor", float(side))
-    grid = GridKernel(side, amplitude, beta, scale)
-    return grid.matrix(), grid, {**kernel, "side": side, "amplitude": amplitude, "beta": beta, "scale_divisor": scale}
+def _kernel_covariance(
+    kernel: dict | None, manifest: dict, model: str, cells: int, inputs: np.ndarray | None
+) -> tuple[np.ndarray, GridKernel | None, dict]:
+    """The prior covariance of a dataset's ``cells`` latent values, its GridKernel, and the resolved kernel spec.
+
+    Each kernel parameter comes from the kernel spec if written there, else
+    from the dataset's manifest, else from the simulate default (the side,
+    for ``scale_divisor``).  Without a
+    spec the kernel is the model's own: grid_exponential for Cox, else
+    squared_exponential.  A squared-exponential multiclass covariance holds
+    one block per class; the GridKernel is None for a squared-exponential kernel.
+    """
+    kernel = kernel or {"type": "grid_exponential" if model == "cox" else "squared_exponential"}
+    defaults = SIMULATE_TABLES["cox" if kernel["type"] == "grid_exponential" else "regression"]
+
+    def parameter(key: str) -> float | None:
+        return _first(defaults[key].default, kernel.get(key), manifest.get(key))
+
+    if kernel["type"] == "grid_exponential":
+        side = kernel.get("side") or math.isqrt(cells)
+        if side * side != cells:
+            raise ConfigError(f"config.kernel: a {side}x{side} grid does not fit the dataset's {cells} cells")
+        resolved = {"side": side, "amplitude": parameter("amplitude"), "beta": parameter("beta"),
+                    "scale_divisor": parameter("scale_divisor") or float(side)}
+        grid = GridKernel(side, resolved["amplitude"], resolved["beta"], resolved["scale_divisor"])
+        return grid.matrix(), grid, {**kernel, **resolved}
+    if inputs is None:
+        raise ConfigError("squared_exponential kernel requires input locations")
+    resolved = {"lengthscale2": parameter("lengthscale2"), "amplitude": parameter("amplitude")}
+    cov = squared_exponential_kernel(inputs, variance=resolved["amplitude"], lengthscale2=resolved["lengthscale2"])
+    if model == "multiclass":
+        cov = np.kron(np.eye(cells // inputs.size), cov)
+    return cov, None, {**kernel, **resolved}
 
 
-def _squared_exponential(kernel: dict, manifest: dict, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The squared-exponential covariance at the inputs, and the kernel spec with its resolved parameters."""
-    lengthscale2 = _kernel_parameter(kernel, manifest, "lengthscale2", 1.0)
-    amplitude = _kernel_parameter(kernel, manifest, "amplitude", 1.0)
-    cov = squared_exponential_kernel(inputs, variance=amplitude, lengthscale2=lengthscale2)
-    return cov, {**kernel, "lengthscale2": lengthscale2, "amplitude": amplitude}
-
-
-def _kernel_parameter(kernel: dict | None, manifest: dict, key: str, default: float) -> float:
-    """A kernel parameter: the kernel spec's if written there, else the dataset manifest's, else the default."""
-    for source in (kernel or {}, manifest):
-        if source.get(key) is not None:
-            return source[key]
-    return default
+def _first(default, *values):
+    """The first of ``values`` that is not None, else ``default``."""
+    return next((value for value in values if value is not None), default)
 
 
 def resolve_threads(cli_value: int | None = None) -> int:
@@ -634,6 +581,18 @@ class SingleRunResult:
     tuned_delta: float | None = None
 
 
+def seeded_chain(
+    kind: SamplerKind,
+    prior: SpectralPrior,
+    target: TargetModel,
+    seed: int,
+    counter: OpCounter | None = None,
+    x0: np.ndarray | None = None,
+) -> Chain:
+    """The chain of one (sampler, seed) run, its RNG stream keyed by (seed, kernel index)."""
+    return Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]), counter=counter, x0=x0)
+
+
 def benchmark_single(
     kind: SamplerKind,
     prior: SpectralPrior,
@@ -647,14 +606,13 @@ def benchmark_single(
 ) -> SingleRunResult:
     """Tune, collect, and summarize one (sampler, seed) run.
 
-    The RNG stream is keyed by (seed, kernel index) so different kernels at
-    the same seed never share draws.  Operation counters cover the collection
+    The chain comes from ``seeded_chain``, so different kernels at the same
+    seed never share draws.  Operation counters cover the collection
     phase only; factorizations stay at zero because the decomposition is
     shared and precomputed.
     """
-    rng = np.random.default_rng([seed, KIND_STREAM_INDEX[kind]])
     counter = OpCounter()
-    chain = Chain(kind, prior, target, rng, counter=counter, x0=x0)
+    chain = seeded_chain(kind, prior, target, seed, counter=counter, x0=x0)
 
     t0 = time.perf_counter()
     tune = tune_and_freeze(chain, burn_in)

@@ -43,6 +43,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "s.json", "--threads", "1"], ["simulate", "s.json", "--trace"],
+        ["tune", "c.json", "--threads", "1"], ["tune", "c.json", "--trace"],
+        ["validate", "--seed", "3"], ["validate", "--threads", "0"], ["validate", "--trace"],
+        ["downsample", "x.csv", "--seed", "3"], ["downsample", "x.csv", "--threads", "1"],
+        ["downsample", "x.csv", "--trace"],
+    ])
+    def test_a_flag_the_subcommand_does_not_read_is_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestSimulateCommand:
     def test_writes_data_and_manifest(self, tmp_path, capsys):
@@ -68,6 +80,10 @@ class TestSimulateCommand:
     def test_missing_model_is_config_error(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", {"n": 10})
         assert main(["simulate", str(spec)]) == 2
+
+    def test_negative_seed_is_a_config_error(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", {"model": "regression", "n": 15})
+        assert main(["simulate", str(spec), "--seed", "-5"]) == 2
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.json")]) == 1
@@ -99,6 +115,20 @@ class TestRunCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys, command):
+        config = tiny_run_config(tmp_path)
+        assert main([command, str(config), "--seed", "-5"]) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("likelihood", [{"sigma2": -1}, {"sigma2": "abc"}, {"exposure": -1}, {"offset": "x"}])
+    def test_bad_likelihood_value_is_a_config_error(self, tmp_path, capsys, likelihood):
+        model = "regression" if "sigma2" in likelihood else "cox"
+        config = tiny_run_config(tmp_path, model=model, simulate=None, dataset={"path": "d.csv"}, likelihood=likelihood)
+        assert main(["run", str(config)]) == 2
+        (key,) = likelihood
+        assert f"config.likelihood.{key}" in capsys.readouterr().err
 
 
 class TestTuneCommand:

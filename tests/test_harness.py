@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,11 +111,15 @@ class TestConfigValidation:
         raw = base_config(samplers=["agrad-z"], hyper={"mode": "joint", "theta0": [0.5]})
         assert validate_config(raw).hyper["theta0"] == [0.5]
 
-    def test_dataset_requires_kernel_for_regression(self, tmp_path):
-        raw = base_config(dataset={"path": "d.csv"})
+    def test_dataset_without_kernel_takes_the_manifest_kernel(self, tmp_path):
+        bundle = simulate_dataset("regression", {"n": 25, "seed": 7, "sigma2": 0.3, "lengthscale2": 0.05,
+                                                 "amplitude": 2.0})
+        paths = write_dataset(bundle, tmp_path)
+        raw = base_config(dataset={"path": str(paths["data"])})
         del raw["simulate"]
-        with pytest.raises(ConfigError, match="kernel"):
-            validate_config(raw, base_dir=tmp_path)
+        loaded = resolve_dataset(validate_config(raw))
+        np.testing.assert_array_equal(loaded.covariance, bundle.covariance)
+        assert loaded.manifest["kernel"] == {"type": "squared_exponential", "lengthscale2": 0.05, "amplitude": 2.0}
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         raw = base_config(out="results")
@@ -127,6 +133,79 @@ class TestConfigValidation:
         path.write_text("{broken")
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(path)
+
+
+FIELD_TABLES = (
+    [("config", None, harness.CONFIG_TABLE), ("hyper", None, harness.HYPER_TABLE)]
+    + [("simulate", model, table) for model, table in harness.SIMULATE_TABLES.items()]
+    + [("kernel", ktype, table) for ktype, table in harness.KERNEL_TABLES.items()]
+    + [("likelihood", model, table) for model, table in harness.LIKELIHOOD_TABLES.items()]
+)
+
+
+def config_with(section, variant, key, value):
+    """A valid config but for ``value`` at ``key`` of one section; returns it and the section's path."""
+    if section == "config":
+        return base_config(**{key: value}), "config"
+    if section == "hyper":
+        return base_config(samplers=["agrad-z"], hyper={"mode": "joint", key: value}), "config.hyper"
+    if section == "simulate":
+        return base_config(model=variant, simulate={key: value}), "config.simulate"
+    if section == "kernel":
+        model, simulate = ("cox", {"side": 4}) if variant == "grid_exponential" else ("regression", {"n": 12})
+        return base_config(model=model, simulate=simulate, kernel={"type": variant, key: value}), "config.kernel"
+    raw = base_config(model=variant, dataset={"path": "d.csv"}, likelihood={key: value})
+    del raw["simulate"]
+    return raw, "config.likelihood"
+
+
+def bad_numbers():
+    """Every numeric key of the field tables, with each value its field must refuse."""
+    for section, variant, table in FIELD_TABLES:
+        for key, field in table.items():
+            kind = field.item or field.kind
+            if kind not in (int, float):
+                continue
+            bad = {"nan": float("nan"), "inf": float("inf"), "string": "abc"}
+            if field.low is not None:
+                bad["below"] = kind(field.low - 1)
+            if field.above:
+                bad["at-bound"] = kind(field.low)
+            # a list field holds the bad value as its first entry
+            tail = list(field.default[1:]) if isinstance(field.default, tuple) else []
+            for label, value in bad.items():
+                placed = [value, *tail] if field.item else value
+                yield pytest.param(section, variant, key, placed, id=f"{section}-{variant}-{key}-{label}")
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("section, variant, key, value", bad_numbers())
+    def test_every_numeric_key_refuses_non_finite_mistyped_and_out_of_bound_values(
+        self, tmp_path, section, variant, key, value
+    ):
+        raw, path = config_with(section, variant, key, value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))  # NaN and Infinity as JSON writes them
+        with pytest.raises(ConfigError, match=re.escape(f"{path}.{key}")):
+            parse_config(config)
+
+    @pytest.mark.parametrize("section, variant", [pytest.param(s, v, id=f"{s}-{v}") for s, v, _ in FIELD_TABLES])
+    def test_every_section_names_an_unknown_key_by_its_path(self, section, variant):
+        raw, path = config_with(section, variant, "bogus", 1)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}.bogus")):
+            validate_config(raw)
+
+    def test_kernel_keys_left_out_stay_none(self):
+        config = validate_config(base_config(kernel={"type": "grid_exponential"}))
+        assert config.kernel == {"type": "grid_exponential", "jitter": 0.0, "side": None, "beta": None,
+                                 "amplitude": None, "scale_divisor": None}
+
+    def test_every_json_config_block_in_the_readme_validates(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) >= 3
+        for block in blocks:
+            validate_config(json.loads(block), base_dir=tmp_path)
 
 
 class TestSimulateSpec:
@@ -230,6 +309,13 @@ class TestDatasetIO:
         np.testing.assert_array_equal(grid.matrix(), bundle.covariance)
         grid = loaded({"type": "grid_exponential", "beta": 0.5})
         assert (grid.beta, grid.variance, grid.scale) == (0.5, 0.7, 3.0)
+
+    def test_a_cox_file_is_loaded_with_the_kernel_its_config_names(self, tmp_path):
+        paths = write_dataset(simulate_dataset("cox", {"side": 6, "seed": 6}), tmp_path, stem="counts")
+        with pytest.raises(ConfigError, match="5x5 grid"):
+            load_dataset("cox", paths["data"], kernel={"type": "grid_exponential", "side": 5})
+        with pytest.raises(ConfigError, match="requires input locations"):
+            load_dataset("cox", paths["data"], kernel={"type": "squared_exponential"})
 
     def test_simulated_grid_kernel_section_records_the_parameters_it_used(self):
         spec = {"side": 6, "seed": 6, "beta": 0.2, "amplitude": 0.7, "scale_divisor": 3.0}
