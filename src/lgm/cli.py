@@ -31,6 +31,7 @@ from .harness import (
     down_sample_cox,
     format_summary_table,
     parse_config,
+    read_spec_file,
     resolve_dataset,
     run_benchmark,
     seeded_chain,
@@ -124,13 +125,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    raw = json.loads(args.spec.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ConfigError("simulate spec must be a JSON object")
-    model = raw.pop("model", None)
-    if model is None:
-        raise ConfigError("simulate spec needs a 'model' key")
-    out_dir = args.out or Path(raw.pop("out", "."))
+    model, out, raw = read_spec_file(args.spec)
+    out_dir = args.out or Path(out)
     if args.seed is not None:
         raw["seed"] = args.seed
     spec = validate_simulate_spec(model, raw, path="spec")

@@ -253,11 +253,14 @@ class ExperimentConfig:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     path = Path(path)
+    return validate_config(_read_json(path, "config"), base_dir=path.parent)
+
+
+def _read_json(path: Path, what: str):
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(raw, base_dir=path.parent)
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def validate_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -332,6 +335,19 @@ def validate_simulate_spec(model: str, spec: dict, path: str = "simulate") -> di
     elif len(out["input_range"]) != 2 or not out["input_range"][0] < out["input_range"][1]:
         raise ConfigError(f"{path}.input_range must be [lo, hi] with lo < hi")
     return out
+
+
+# The keys of an ``lgm simulate`` spec file besides the model's simulate table.
+SPEC_FILE_TABLE = {"model": Field(str, REQUIRED, choices=MODELS), "out": Field(str, ".")}
+
+
+def read_spec_file(path: Path) -> tuple[str, str, dict]:
+    """An ``lgm simulate`` spec file's checked model and output directory, and its simulate keys."""
+    raw = _read_json(path, "spec")
+    if not isinstance(raw, dict):
+        raise ConfigError("spec must be an object")
+    head = _walk({key: raw[key] for key in SPEC_FILE_TABLE if key in raw}, SPEC_FILE_TABLE, "spec")
+    return head["model"], head["out"], {key: value for key, value in raw.items() if key not in SPEC_FILE_TABLE}
 
 
 def validate_kernel_spec(spec: dict, path: str = "kernel") -> dict:
@@ -459,7 +475,7 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     manifest: dict = {}
     sidecar = path.with_suffix(".manifest.json") if path.suffix == ".csv" else None
     if sidecar is not None and sidecar.exists():
-        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        manifest = _read_manifest(sidecar, model)
 
     inputs = None
     if model == "cox":
@@ -501,6 +517,16 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     else:
         target = CategoricalSoftmax(observations, n_classes=classes)
     return DatasetBundle(model, target, cov, meta, inputs=inputs, observations=observations, grid=grid)
+
+
+def _read_manifest(sidecar: Path, model: str) -> dict:
+    """A dataset's manifest sidecar, its values checked by the model's simulate table."""
+    raw = _read_json(sidecar, "manifest")
+    table = {**SIMULATE_TABLES[model], "model": Field(str, choices=(model,))}
+    if model == "cox":
+        table.update(offset=Field(float), cell_area=_positive())
+    checked = _walk(raw, table, f"{sidecar}: manifest")
+    return {key: checked[key] for key in raw}
 
 
 def resolve_dataset(config: ExperimentConfig) -> DatasetBundle:

@@ -22,7 +22,9 @@ transform.  A spectral draw takes the leading ``prior.rank`` entries of
 with zero eigenvalues consume the same random stream.  The gradient-free
 kernels (pcn, ellipt) evaluate only f at their proposals and compute grad f
 once, for the state they accept, so ``grad_x`` stays coherent for every
-kernel.
+kernel.  On a Gaussian likelihood Ellipt scores its shrinks in O(1) with
+the target's closed form on the slice ellipse (``TargetModel.on_ellipse``),
+which agrees with f to rounding and is used only for slice comparisons.
 
 The six Metropolis-Hastings kernels share one skeleton: a kernel draws y,
 evaluates f there once and guards its log-ratio with ``_guarded_ratio``;
@@ -110,11 +112,12 @@ class ChainState:
     diag(gamma) U^T grad f(x) and ``grad_quad_x`` is grad f(x)^T C grad f(x)
     (pCNL); ``prior_quad_x`` is x^T C^+ x (pMALA).  Spectral vectors have
     ``prior.rank`` entries.  Only the caches a kernel needs are populated;
-    the rest stay None.  ``likelihood_evals`` counts
-    evaluations of f at proposed points (one per MH step, one per slice
-    shrink); the gradient pass for a state accepted by pCN or Ellipt is not
-    counted.  ``grad_x`` is the lifted gradient: zero on cells the target
-    does not observe.
+    the rest stay None.  ``likelihood_evals`` counts evaluations of f at
+    proposed points (one per MH step, one per slice shrink that calls
+    ``log_likelihood``); neither the gradient pass for a state accepted by
+    pCN or Ellipt nor a slice shrink scored by the target's O(1)
+    ``on_ellipse`` form is counted.  ``grad_x`` is the lifted gradient: zero
+    on cells the target does not observe.
     """
 
     x: np.ndarray
@@ -499,21 +502,28 @@ def step_ellipt(
 
     Draw nu ~ N(0, C) (1 matvec) and a log-height below f(x), then shrink an
     angle bracket [theta - 2pi, theta] toward zero until
-    f(x cos theta + nu sin theta) exceeds the height.  Never rejects; the
-    number of likelihood evaluations per step is variable and recorded on
-    the state.  Shrink candidates are formed on the observed cells alone,
-    since f reads nothing else, and evaluate f alone; grad f is computed
-    for a candidate on the slice, which counts as off the slice and shrinks
-    on if that gradient is not finite, as pCN rejects such a point.  The
-    full field is built once, for the accepted point.  A step that fails to
-    terminate within 100 shrinks keeps the current state and logs a warning
-    (unreachable for continuous f).  Has no step size: ``ops`` is unused.
+    f(x cos theta + nu sin theta) exceeds the height.  Never rejects.
+
+    Where the target has a closed form on the ellipse
+    (``target.on_ellipse``), each angle is scored by it in O(1), with no
+    candidate vector and no likelihood pass.  That form agrees with
+    ``log_likelihood`` to rounding and decides slice membership only.
+    Otherwise each angle builds a candidate on the observed cells alone,
+    since f reads nothing else, and evaluates f alone; these evaluations
+    are variable in number and counted on the state.  Either way a point on
+    the slice is built once and takes f and grad f from one ``evaluate``;
+    it counts as off the slice and the bracket shrinks on if that gradient
+    is not finite, as pCN rejects such a point.  The full field is built
+    once, for the accepted point.  A step that fails to terminate within
+    100 shrinks keeps the current state and logs a warning (unreachable for
+    continuous f).  Has no step size: ``ops`` is unused.
     """
     eta = _spectral_noise(prior, rng)
     nu = from_spectral(prior, prior.sqrt_eigenvalues * eta, state.counter)
     log_height = state.f_x - rng.exponential()
     x_obs = prior.observed(state.x)
     nu_obs = prior.observed(nu)
+    on_ellipse = target.on_ellipse(x_obs, nu_obs)
 
     # Angles are drawn as lo + (hi - lo) * U: the exact arithmetic of
     # rng.uniform(lo, hi), without its call overhead.
@@ -521,11 +531,16 @@ def step_ellipt(
     lo, hi = theta - 2.0 * math.pi, theta
     for _ in range(MAX_SLICE_SHRINKS):
         cos, sin = math.cos(theta), math.sin(theta)
-        candidate = x_obs * cos + nu_obs * sin
-        f_c = target.log_likelihood(candidate)
-        state.likelihood_evals += 1
+        if on_ellipse is None:
+            candidate = x_obs * cos + nu_obs * sin
+            f_c = target.log_likelihood(candidate)
+            state.likelihood_evals += 1
+        else:
+            candidate, f_c = None, on_ellipse(cos, sin)
         if math.isfinite(f_c) and f_c > log_height:
-            grad_c = target.evaluate(candidate)[1]
+            if candidate is None:
+                candidate = x_obs * cos + nu_obs * sin
+            f_c, grad_c = target.evaluate(candidate)
             if np.isfinite(grad_c).all():
                 # A dense prior observes every cell: the candidate is the field.
                 x_new = candidate if x_obs is state.x else state.x * cos + nu * sin

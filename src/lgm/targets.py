@@ -6,11 +6,19 @@ Both are returned by a single ``evaluate`` call since every model here shares
 intermediate quantities between the two.  ``log_likelihood`` is the
 value-only path used by the gradient-free kernels; every model overrides it
 with exactly the arithmetic of ``evaluate``, so the two agree bit for bit.
+
+``on_ellipse(x, nu)`` lets elliptical slice sampling score the angles of
+one ellipse x cos + nu sin without building a vector per angle.  It is None
+by default.  ``GaussianRegression`` returns a closed form from six inner
+products, which agrees with ``log_likelihood`` to rounding (not bit for
+bit), so the sampler uses it only to decide whether an angle is on the
+slice; the point it accepts is still scored by ``evaluate``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +39,13 @@ class TargetModel(ABC):
     def log_likelihood(self, x: np.ndarray) -> float:
         """Return f(x) alone; must equal ``evaluate(x)[0]`` exactly."""
         return self.evaluate(x)[0]
+
+    def on_ellipse(self, x: np.ndarray, nu: np.ndarray) -> Callable[[float, float], float] | None:
+        """A function g with g(cos t, sin t) = f(x cos t + nu sin t) to rounding, or None.
+
+        g must cost O(1) per call; a model with no such form returns None.
+        """
+        return None
 
 
 class ConstantTarget(TargetModel):
@@ -68,6 +83,22 @@ class GaussianRegression(TargetModel):
     def log_likelihood(self, x: np.ndarray) -> float:
         resid = self.y - x
         return self._const - 0.5 * float(resid @ resid) / self.noise_variance
+
+    def on_ellipse(self, x: np.ndarray, nu: np.ndarray) -> Callable[[float, float], float]:
+        # Anchored at x: y - (x cos + nu sin) = r + a x - sin nu with r = y - x
+        # and a = 1 - cos, so angles near zero, where slice decisions are
+        # closest, suffer no cancellation, and g(1, 0) equals f(x) exactly.
+        r = self.y - x
+        rr, rx, rnu = float(r @ r), float(r @ x), float(r @ nu)
+        xx, xnu, nunu = float(x @ x), float(x @ nu), float(nu @ nu)
+        const, noise_variance = self._const, self.noise_variance
+
+        def g(cos: float, sin: float) -> float:
+            a = 1.0 - cos
+            quad = rr + 2.0 * a * rx - 2.0 * sin * rnu + a * a * xx - 2.0 * a * sin * xnu + sin * sin * nunu
+            return const - 0.5 * quad / noise_variance
+
+        return g
 
 
 class BernoulliLogit(TargetModel):

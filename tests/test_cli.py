@@ -85,6 +85,21 @@ class TestSimulateCommand:
         spec = write_json(tmp_path / "spec.json", {"model": "regression", "n": 15})
         assert main(["simulate", str(spec), "--seed", "-5"]) == 2
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"model": "regression", "n": 20, "out": 5}, "spec.out"),
+        ({"model": 5, "n": 20}, "spec.model"),
+        ({"model": "poisson", "n": 20}, "spec.model"),
+    ])
+    def test_model_and_out_are_type_checked(self, tmp_path, capsys, spec, key):
+        assert main(["simulate", str(write_json(tmp_path / "spec.json", spec))]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_spec_that_is_not_json_is_a_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{model: regression}", encoding="utf-8")
+        assert main(["simulate", str(spec)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_missing_spec_file_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.json")]) == 1
 
@@ -129,6 +144,16 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         (key,) = likelihood
         assert f"config.likelihood.{key}" in capsys.readouterr().err
+
+    def test_bad_manifest_value_is_a_config_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {"model": "regression", "n": 10, "out": str(tmp_path / "data")})
+        assert main(["simulate", str(spec)]) == 0
+        manifest_path = tmp_path / "data" / "data.manifest.json"
+        manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), "sigma2": -1.0}))
+        config = tiny_run_config(tmp_path, simulate=None, dataset={"path": str(tmp_path / "data" / "data.csv")})
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest_path) in err and "manifest.sigma2" in err
 
 
 class TestTuneCommand:

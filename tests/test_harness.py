@@ -362,6 +362,27 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="sigma2"):
             resolve_dataset(validate_config(raw))
 
+    @pytest.mark.parametrize("model, key, value", [
+        ("regression", "sigma2", -1.0), ("regression", "sigma2", "0.1"), ("regression", "lengthscale2", 0.0),
+        ("binary", "amplitude", math.nan), ("multiclass", "classes", 1), ("cox", "cell_area", -1.0),
+        ("cox", "offset", math.inf), ("cox", "beta", 0.0), ("cox", "model", "regression"), ("cox", "notes", 1),
+    ])
+    def test_manifest_values_are_checked_against_the_simulate_table(self, tmp_path, model, key, value):
+        spec = {"side": 4} if model == "cox" else {"n": 12}
+        paths = write_dataset(simulate_dataset(model, spec), tmp_path)
+        manifest = json.loads(paths["manifest"].read_text())
+        manifest[key] = value
+        paths["manifest"].write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError) as exc:
+            load_dataset(model, paths["data"], kernel=None)
+        assert str(paths["manifest"]) in str(exc.value) and f"manifest.{key}" in str(exc.value)
+
+    def test_manifest_that_is_not_json_is_a_config_error(self, tmp_path):
+        paths = write_dataset(simulate_dataset("regression", {"n": 12}), tmp_path)
+        paths["manifest"].write_text("{sigma2: 1}")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_dataset("regression", paths["data"], kernel=None)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_dataset("cox", tmp_path / "nope.csv", kernel=None)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lgm.harness import simulate_dataset
 from lgm.samplers import (
     Chain,
     DEFAULT_INITIAL_DELTA,
@@ -198,6 +199,36 @@ class TestValueOnlyKernels:
             reached += target.evaluate_calls - calls > 1
         assert reached > 0, "no slice point reached the broken half-space"
         check_state_coherence(chain)
+
+
+class ShrinkByShrinkRegression(GaussianRegression):
+    """GaussianRegression without its closed form: Ellipt makes one likelihood pass per shrink."""
+
+    def on_ellipse(self, x, nu):
+        return None
+
+
+def test_ellipt_closed_form_shrinks_decide_as_likelihood_passes_do():
+    # On the benchmark's n = 200 regression data every slice comparison of
+    # the O(1) closed form agrees with the likelihood pass: the chains are
+    # bit-identical, and only the pass-per-shrink chain counts its shrinks.
+    bundle = simulate_dataset("regression", {"n": 200, "sigma2": 0.1, "seed": 2026})
+    prior = eigendecompose_covariance(bundle.covariance)
+    runs = []
+    for target in (bundle.target, ShrinkByShrinkRegression(bundle.target.y, bundle.target.noise_variance)):
+        chain = Chain(SamplerKind.ELLIPT, prior, target, np.random.default_rng(31))
+        xs, fs = [], []
+        for _ in range(2000):
+            chain.step()
+            xs.append(chain.state.x)
+            fs.append(chain.state.f_x)
+        runs.append((np.array(xs), np.array(fs), chain.state.likelihood_evals))
+        check_state_coherence(chain)
+    (closed_x, closed_f, closed_evals), (pass_x, pass_f, pass_evals) = runs
+    np.testing.assert_array_equal(closed_x, pass_x)
+    np.testing.assert_array_equal(closed_f, pass_f)
+    assert closed_evals == 1  # the evaluation at x0
+    assert pass_evals > 1 + 2000
 
 
 class TestPriorExactness:

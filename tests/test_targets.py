@@ -48,6 +48,24 @@ class TestGaussianRegression:
         expected = -0.5 * np.sum((y - x) ** 2) / sigma2 - 2.5 * np.log(2 * np.pi * sigma2)
         assert target.evaluate(x)[0] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n, sigma2, scale", [(200, 0.1, 1.0), (5, 1e-6, 100.0)])
+    def test_closed_form_on_the_ellipse_matches_the_likelihood(self, rng, n, sigma2, scale):
+        # The second case is a stress case: tiny noise and |y| near 100, so
+        # an expansion not anchored at x loses ~1e-7 of f near angle zero.
+        # Errors are relative to the terms f sums, |const| + |f - const|,
+        # since f itself crosses zero on this ellipse.
+        y = scale * rng.standard_normal(n)
+        x = y + np.sqrt(sigma2) * rng.standard_normal(n)
+        nu = rng.standard_normal(n)
+        target = GaussianRegression(y, sigma2)
+        on_ellipse = target.on_ellipse(x, nu)
+        angles = np.concatenate([[0.0, 1e-12, -1e-12, np.pi / 2, np.pi], rng.uniform(-2 * np.pi, 2 * np.pi, 300)])
+        closed = np.array([on_ellipse(np.cos(t), np.sin(t)) for t in angles])
+        direct = np.array([target.log_likelihood(x * np.cos(t) + nu * np.sin(t)) for t in angles])
+        const = -0.5 * n * np.log(2 * np.pi * sigma2)
+        assert np.all(np.abs(closed - direct) <= 1e-10 * (abs(const) + np.abs(direct - const)))
+        assert closed[0] == target.log_likelihood(x)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="noise_variance"):
             GaussianRegression(np.zeros(3), 0.0)
@@ -158,6 +176,12 @@ class TestCategoricalSoftmax:
             CategoricalSoftmax(np.array([0, 1]), n_classes=1)
         with pytest.raises(ValueError, match="lie in"):
             CategoricalSoftmax(np.array([0, 3]), n_classes=3)
+
+
+@pytest.mark.parametrize("name", ["binary", "cox", "multiclass", "constant"])
+def test_other_models_have_no_closed_form_on_the_ellipse(rng, name):
+    target = make_targets(rng)[name]
+    assert target.on_ellipse(np.zeros(target.dimension), np.ones(target.dimension)) is None
 
 
 class TestConstantTarget:
