@@ -8,8 +8,8 @@
 
 Flags, registered only on the subcommands that read them: --seed (override
 the config's seeds or the spec's seed; run, tune, simulate), --out (output
-directory; all), --threads (worker threads, env LGM_THREADS is the
-fallback; run), --trace (persist thinned sample traces; run).
+directory; all), --trace (persist thinned sample traces; run).  ``lgm run``
+executes its (sampler, seed) jobs one after another in this process.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .adaptation import tune_and_freeze
 from .harness import (
     ConfigError,
+    _read_manifest,
     check_seed,
     down_sample_cox,
     format_summary_table,
@@ -46,13 +47,12 @@ from .oracle import run_validation_suite
 FLAGS = {
     "--seed": {"type": int, "help": "override the seeds of the config or spec with one seed"},
     "--out": {"type": Path, "help": "output directory"},
-    "--threads": {"type": int, "help": "worker threads (fallback: LGM_THREADS)"},
     "--trace": {"action": "store_true", "help": "persist thinned sample traces"},
 }
 
 # (name, positional argument, help, the flags the command reads)
 COMMANDS = (
-    ("run", "config", "execute a benchmark config", ("--seed", "--out", "--threads", "--trace")),
+    ("run", "config", "execute a benchmark config", ("--seed", "--out", "--trace")),
     ("simulate", "spec", "draw a synthetic dataset", ("--seed", "--out")),
     ("tune", "config", "burn-in tuning only", ("--seed", "--out")),
     ("validate", None, "run the brute-force validation suite", ("--out",)),
@@ -113,7 +113,7 @@ def _load_config(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = run_benchmark(config, threads=args.threads, keep_samples=args.trace)
+    result = run_benchmark(config, keep_samples=args.trace)
     print(format_summary_table(result.summary_rows))
     failures = [r for r in result.reports if r.error is not None]
     for report in failures:
@@ -188,18 +188,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_downsample(args: argparse.Namespace) -> int:
     counts = np.atleast_2d(np.loadtxt(args.counts, delimiter=","))
     merged = down_sample_cox(counts)
+    manifest_path = args.counts.with_suffix(".manifest.json")
+    manifest = _read_manifest(manifest_path, "cox") if manifest_path.exists() else None
     out_dir = args.out or args.counts.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{args.counts.stem}_down.csv"
     np.savetxt(out_path, merged, fmt="%d", delimiter=",")
 
-    manifest_path = args.counts.with_suffix(".manifest.json")
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if manifest is not None:
         manifest["side"] = merged.shape[0]
-        if "cell_area" in manifest:
+        if manifest.get("cell_area"):
             manifest["cell_area"] = manifest["cell_area"] * 4.0
-        if "scale_divisor" in manifest and manifest["scale_divisor"]:
+        if manifest.get("scale_divisor"):
             # halving the side halves the index-space correlation scale
             manifest["scale_divisor"] = manifest["scale_divisor"] / 2.0
         out_manifest = out_dir / f"{args.counts.stem}_down.manifest.json"

@@ -8,7 +8,6 @@ ESS = T / (-1 + 2 * sum Gamma_m), clipped to [1, T].
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -145,9 +144,6 @@ class RunReport:
         }
         out.update(self.extra)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def summarize_run(

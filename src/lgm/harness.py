@@ -6,7 +6,7 @@ values below a bound are errors, and messages carry field paths.  Datasets
 are either simulated from a spec or loaded from CSV, and every prior
 covariance comes from one kernel resolver.  The covariance is decomposed
 once per benchmark and shared read-only across all (sampler, seed) runs,
-which execute on a thread pool with per-run failure isolation.  Reports land
+which execute one after another with per-run failure isolation.  Reports land
 in ``runs.csv`` (one row per run), ``summary.csv`` (one row per method, the
 fixed benchmark table), and ``summary.json`` (schema-versioned aggregate).
 Identical (config, seeds) reproduce identical outputs except for timing;
@@ -20,9 +20,7 @@ import hashlib
 import json
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -438,6 +436,8 @@ def down_sample_cox(counts: np.ndarray) -> np.ndarray:
     g = counts.shape[0]
     if g % 2:
         raise ValueError(f"grid side must be even to down-sample, got {g}")
+    if g < 4:
+        raise ValueError(f"grid side must be at least 4 to down-sample, got {g}: the merged side {g // 2} is below 2")
     half = g // 2
     return counts.reshape(half, 2, half, 2).sum(axis=(1, 3))
 
@@ -580,23 +580,6 @@ def _kernel_covariance(
 def _first(default, *values):
     """The first of ``values`` that is not None, else ``default``."""
     return next((value for value in values if value is not None), default)
-
-
-def resolve_threads(cli_value: int | None = None) -> int:
-    if cli_value is not None:
-        if cli_value < 1:
-            raise ConfigError(f"--threads must be at least 1, got {cli_value!r}")
-        return cli_value
-    env = os.environ.get("LGM_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"LGM_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"LGM_THREADS must be at least 1, got {value!r}")
-        return value
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -745,55 +728,43 @@ def determinism_digest(reports: list[RunReport]) -> str:
 
 def run_benchmark(
     config: ExperimentConfig,
-    threads: int | None = None,
+    threads: int = 1,
     keep_samples: bool = False,
     write: bool = True,
 ) -> BenchmarkResult:
-    """Execute every (sampler, seed) cell of a benchmark config.
+    """Execute every (sampler, seed) cell of a benchmark config, in config order.
 
     The covariance is decomposed once (``shared_prior``) and shared
     read-only; each run owns its chain, RNG and counters, and failures are
-    captured in that run's report row without disturbing the others.
+    captured in that run's report row without disturbing the others.  Runs
+    go one after another in the calling thread, so each run's timings count
+    only its own work.  ``threads`` accepts only 1: it stays because the
+    perfbench harness passes it, and a change to that benchmark can drop it.
     """
+    if threads != 1:
+        raise ValueError(f"run_benchmark runs its jobs one after another; threads must be 1, got {threads!r}")
     bundle = resolve_dataset(config)
     setup_counter = OpCounter()
     prior = shared_prior(config, bundle, setup_counter)
 
-    if config.hyper_mode == "fixed":
-        jobs = [(kind, seed) for kind in config.samplers for seed in config.seeds]
-
-        def work(job):
-            kind, seed = job
+    reports = []
+    runs = {}
+    # hyperparameter configs hold the one sampler they run, agrad-z
+    for kind in config.samplers:
+        for seed in config.seeds:
             try:
-                return job, benchmark_single(
-                    kind, prior, bundle.target, seed, config.burn_in, config.collect, config.thin, keep_samples
-                )
+                if config.hyper_mode == "fixed":
+                    single = benchmark_single(
+                        kind, prior, bundle.target, seed, config.burn_in, config.collect, config.thin, keep_samples
+                    )
+                else:
+                    single = _hyper_single(config, bundle.target, prior, seed, keep_samples)
             except Exception as exc:  # isolate run failures
                 logger.exception("run (%s, seed %s) failed", kind.value, seed)
-                return job, SingleRunResult(report=_failure_report(DISPLAY_NAMES[kind], seed, exc))
-    else:
-        jobs = [(SamplerKind.AGRAD_Z, seed) for seed in config.seeds]
+                single = SingleRunResult(report=_failure_report(DISPLAY_NAMES[kind], seed, exc))
+            reports.append(single.report)
+            runs[DISPLAY_NAMES[kind], seed] = single
 
-        def work(job):
-            kind, seed = job
-            try:
-                return job, _hyper_single(config, bundle.target, prior, seed, keep_samples)
-            except Exception as exc:
-                logger.exception("hyper run (seed %s) failed", seed)
-                return job, SingleRunResult(report=_failure_report(DISPLAY_NAMES[kind], seed, exc))
-
-    n_threads = resolve_threads(threads)
-    results: dict = {}
-    if n_threads == 1 or len(jobs) == 1:
-        for job in jobs:
-            job, single = work(job)
-            results[job] = single
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for job, single in pool.map(work, jobs):
-                results[job] = single
-
-    reports = [results[job].report for job in jobs]
     summary_rows = aggregate_reports(reports)
     digest = determinism_digest(reports)
     meta = {
@@ -803,7 +774,6 @@ def run_benchmark(
         "prior": "torus {}x{}".format(*prior.torus_shape) if isinstance(prior, TorusPrior) else "dense",
         "torus_eigenvalue_ratio": _torus_eigenvalue_ratio(config, bundle),
         "setup_factorizations": setup_counter.factorizations,
-        "threads": n_threads,
         "hyper": config.hyper if config.hyper_mode != "fixed" else None,
         "manifest": _json_safe(bundle.manifest),
     }
@@ -813,7 +783,7 @@ def run_benchmark(
         summary_rows=summary_rows,
         digest=digest,
         meta=meta,
-        runs={(DISPLAY_NAMES[job[0]], job[1]): single for job, single in results.items()},
+        runs=runs,
     )
     if write and config.out is not None:
         write_benchmark_outputs(result, config.out, traces=keep_samples)

@@ -31,8 +31,8 @@ def tiny_run_config(tmp_path, **overrides):
 class TestParser:
     def test_subcommands_registered(self):
         parser = build_parser()
-        args = parser.parse_args(["run", "c.json", "--threads", "2"])
-        assert args.command == "run" and args.threads == 2
+        args = parser.parse_args(["run", "c.json", "--trace"])
+        assert args.command == "run" and args.trace
         args = parser.parse_args(["simulate", "s.json", "--seed", "7"])
         assert args.command == "simulate" and args.seed == 7
         assert parser.parse_args(["validate"]).command == "validate"
@@ -44,6 +44,7 @@ class TestParser:
             build_parser().parse_args([])
 
     @pytest.mark.parametrize("argv", [
+        ["run", "c.json", "--threads", "2"],
         ["simulate", "s.json", "--threads", "1"], ["simulate", "s.json", "--trace"],
         ["tune", "c.json", "--threads", "1"], ["tune", "c.json", "--trace"],
         ["validate", "--seed", "3"], ["validate", "--threads", "0"], ["validate", "--trace"],
@@ -107,7 +108,7 @@ class TestSimulateCommand:
 class TestRunCommand:
     def test_end_to_end_writes_outputs(self, tmp_path, capsys):
         config = tiny_run_config(tmp_path)
-        assert main(["run", str(config), "--threads", "1"]) == 0
+        assert main(["run", str(config)]) == 0
         out = capsys.readouterr().out
         assert "determinism digest:" in out
         assert "mGrad" in out
@@ -119,7 +120,7 @@ class TestRunCommand:
 
     def test_trace_flag_persists_samples(self, tmp_path):
         config = tiny_run_config(tmp_path)
-        assert main(["run", str(config), "--threads", "1", "--trace"]) == 0
+        assert main(["run", str(config), "--trace"]) == 0
         traces = sorted((tmp_path / "results").glob("trace_*.csv"))
         assert len(traces) == 2
         assert np.loadtxt(traces[0], delimiter=",").shape == (120, 10)
@@ -221,6 +222,28 @@ class TestDownsampleCommand:
         src = tmp_path / "bad.csv"
         np.savetxt(src, np.zeros((3, 3)), fmt="%d", delimiter=",")
         assert main(["downsample", str(src)]) == 1
+
+    def test_grid_that_would_merge_below_side_2_is_refused_before_writing(self, tmp_path, capsys):
+        src = tmp_path / "counts.csv"
+        np.savetxt(src, np.ones((2, 2)), fmt="%d", delimiter=",")
+        write_json(tmp_path / "counts.manifest.json", {"side": 2, "cell_area": 0.25})
+        assert main(["downsample", str(src)]) == 1
+        assert "merged side 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "counts.manifest.json"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "not valid JSON"),
+        ('{"cell_area": -1.0}', "manifest.cell_area must be above"),
+        ('{"model": "regression"}', "manifest.model must be one of"),
+    ])
+    def test_bad_source_manifest_is_a_config_error(self, tmp_path, capsys, text, message):
+        src = tmp_path / "counts.csv"
+        np.savetxt(src, np.ones((4, 4)), fmt="%d", delimiter=",")
+        (tmp_path / "counts.manifest.json").write_text(text, encoding="utf-8")
+        assert main(["downsample", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "counts.manifest.json" in err
+        assert not (tmp_path / "counts_down.csv").exists()
 
     def test_out_flag_redirects(self, tmp_path):
         src = tmp_path / "counts.csv"

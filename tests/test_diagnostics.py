@@ -105,7 +105,7 @@ class TestRunReport:
 
     def test_json_round_trip(self):
         report = self.make_report(extra={"note": "x"})
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["method"] == "mGrad"
         assert payload["min_ess_per_second"] == pytest.approx(50.0)
         assert payload["note"] == "x"

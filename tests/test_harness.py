@@ -21,7 +21,6 @@ from lgm.harness import (
     load_dataset,
     parse_config,
     resolve_dataset,
-    resolve_threads,
     run_benchmark,
     simulate_dataset,
     validate_config,
@@ -271,6 +270,8 @@ class TestDownSampling:
             down_sample_cox(np.zeros((4, 6)))
         with pytest.raises(ValueError, match="even"):
             down_sample_cox(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="merged side 1"):
+            down_sample_cox(np.zeros((2, 2)))
 
 
 class TestDatasetIO:
@@ -393,23 +394,6 @@ class TestDatasetIO:
         assert bundle.target.dimension == 12
 
 
-class TestResolveThreads:
-    def test_cli_value_wins(self, monkeypatch):
-        monkeypatch.setenv("LGM_THREADS", "3")
-        assert resolve_threads(5) == 5
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("LGM_THREADS", "3")
-        assert resolve_threads(None) == 3
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(ConfigError, match="threads"):
-            resolve_threads(0)
-        monkeypatch.setenv("LGM_THREADS", "zero")
-        with pytest.raises(ConfigError, match="LGM_THREADS"):
-            resolve_threads(None)
-
-
 class TestBenchmarkSingle:
     def test_report_and_counters(self):
         gen = np.random.default_rng(8)
@@ -432,13 +416,17 @@ class TestBenchmarkSingle:
 
 
 class TestRunBenchmark:
-    def test_digest_stable_across_threads(self):
+    def test_digest_stable_across_reruns(self):
         config = validate_config(base_config())
         first = run_benchmark(config, threads=1, write=False)
-        second = run_benchmark(config, threads=2, write=False)
+        second = run_benchmark(config, threads=1, write=False)
         assert first.digest == second.digest
         assert len(first.reports) == 4
         assert first.meta["setup_factorizations"] == 1
+
+    def test_jobs_run_in_the_calling_thread_only(self):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_benchmark(validate_config(base_config()), threads=2, write=False)
 
     def test_digest_ignores_wall_clock(self):
         config = validate_config(base_config())
