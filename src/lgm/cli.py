@@ -29,14 +29,13 @@ from .harness import (
     ConfigError,
     _read_manifest,
     check_seed,
+    dataset_and_prior,
     down_sample_cox,
     format_summary_table,
     parse_config,
     read_spec_file,
-    resolve_dataset,
     run_benchmark,
     seeded_chain,
-    shared_prior,
     simulate_dataset,
     validate_simulate_spec,
     write_dataset,
@@ -138,8 +137,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    bundle = resolve_dataset(config)
-    prior = shared_prior(config, bundle)
+    bundle, prior = dataset_and_prior(config)
     rows = []
     for kind in config.samplers:
         for seed in config.seeds:

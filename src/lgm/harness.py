@@ -6,7 +6,8 @@ values below a bound are errors, and messages carry field paths.  Datasets
 are either simulated from a spec or loaded from CSV, and every prior
 covariance comes from one kernel resolver.  The covariance is decomposed
 once per benchmark and shared read-only across all (sampler, seed) runs,
-which execute one after another with per-run failure isolation.  Reports land
+and by the draw of a simulated dataset whose chains run on its generating
+covariance.  Runs execute one after another with per-run failure isolation.  Reports land
 in ``runs.csv`` (one row per run), ``summary.csv`` (one row per method, the
 fixed benchmark table), and ``summary.json`` (schema-versioned aggregate).
 Identical (config, seeds) reproduce identical outputs except for timing;
@@ -37,7 +38,7 @@ from .hyper import (
     run_hyper_chain,
 )
 from .samplers import DISPLAY_NAMES, Chain, SamplerKind
-from .spectral import OpCounter, SpectralPrior, TorusPrior, eigendecompose_covariance
+from .spectral import DensePrior, OpCounter, SpectralPrior, TorusPrior, eigendecompose_covariance
 from .targets import (
     BernoulliLogit,
     CategoricalSoftmax,
@@ -285,6 +286,8 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig
     samplers = tuple(SamplerKind(token) for token in config["samplers"])
     if len(set(samplers)) < len(samplers):
         raise ConfigError(f"config.samplers repeats a sampler: {config['samplers']}")
+    if len(set(config["seeds"])) < len(config["seeds"]):
+        raise ConfigError(f"config.seeds repeats a seed, which would run the same chain twice: {config['seeds']}")
 
     hyper = _walk(config["hyper"], HYPER_TABLE, "config.hyper")
     if hyper["mode"] != "fixed" and samplers != (SamplerKind.AGRAD_Z,):
@@ -373,59 +376,77 @@ class DatasetBundle:
     grid: GridKernel | None = None
 
 
-def simulate_dataset(model: str, spec: dict, rng: np.random.Generator | None = None) -> DatasetBundle:
+class SimulationPrior(NamedTuple):
+    """A simulated dataset's generating covariance, its GridKernel (Cox) or input
+    locations (the other models), and the decomposition each latent field is
+    drawn with: of the covariance, or of one class's block for multiclass."""
+
+    covariance: np.ndarray
+    grid: GridKernel | None
+    inputs: np.ndarray | None
+    prior: DensePrior
+
+
+def _simulation_prior(model: str, spec: dict, counter: OpCounter | None = None) -> SimulationPrior:
+    """Build and decompose the generating covariance of a validated simulate spec."""
+    if model == "cox":
+        cov, grid, _ = _kernel_covariance(None, spec, model, spec["side"] ** 2, None)
+        return SimulationPrior(cov, grid, None, eigendecompose_covariance(cov, counter=counter))
+    n = spec["n"]
+    inputs = np.linspace(*spec["input_range"], n)
+    cov, _, _ = _kernel_covariance(None, spec, model, n * spec.get("classes", 1), inputs)
+    return SimulationPrior(cov, None, inputs, eigendecompose_covariance(cov[:n, :n], counter=counter))
+
+
+def simulate_dataset(
+    model: str, spec: dict, rng: np.random.Generator | None = None, source: SimulationPrior | None = None
+) -> DatasetBundle:
     """Draw a synthetic dataset: latent field from the prior, then observations.
 
     The returned bundle carries the exact covariance used for generation, so
-    benchmarks on simulated data are well-specified by construction.
+    benchmarks on simulated data are well-specified by construction.  The
+    covariance is built and decomposed here, unless ``source`` brings it
+    (``_simulation_prior`` of the same spec), so that a caller whose chains
+    run on that decomposition pays for it once.
     """
     spec = validate_simulate_spec(model, dict(spec), path="simulate")
     rng = rng if rng is not None else np.random.default_rng(spec["seed"])
     manifest = {"model": model, **spec}
+    cov, grid, inputs, prior = source or _simulation_prior(model, spec)
+
+    def draw() -> np.ndarray:
+        return prior.basis @ (prior.sqrt_eigenvalues * rng.standard_normal(prior.dimension)[: prior.rank])
 
     if model == "cox":
         side = spec["side"]
-        cov, grid, _ = _kernel_covariance(None, spec, model, side * side, None)
         offset = math.log(spec["mean_count"]) - 0.5 * spec["amplitude"]
         exposure = 1.0 / side**2
-        latent = _draw_from_prior(cov, rng)
-        counts = rng.poisson(exposure * np.exp(latent + offset)).reshape(side, side)
+        counts = rng.poisson(exposure * np.exp(draw() + offset)).reshape(side, side)
         manifest.update(offset=offset, cell_area=exposure)
         target = PoissonCounts(counts, exposure=exposure, offset=offset)
         return DatasetBundle(model, target, cov, manifest, observations=counts, grid=grid)
 
-    lo, hi = spec["input_range"]
     n = spec["n"]
-    inputs = np.linspace(lo, hi, n)
-    cov, _, _ = _kernel_covariance(None, spec, model, n * spec.get("classes", 1), inputs)
-
     if model == "regression":
-        latent = _draw_from_prior(cov, rng)
-        y = latent + math.sqrt(spec["sigma2"]) * rng.standard_normal(n)
+        y = draw() + math.sqrt(spec["sigma2"]) * rng.standard_normal(n)
         target = GaussianRegression(y, noise_variance=spec["sigma2"])
         return DatasetBundle(model, target, cov, manifest, inputs=inputs, observations=y)
 
     if model == "binary":
-        latent = _draw_from_prior(cov, rng)
-        probs = 1.0 / (1.0 + np.exp(-latent))
+        probs = 1.0 / (1.0 + np.exp(-draw()))
         labels = (rng.random(n) < probs).astype(int)
         target = BernoulliLogit(labels)
         return DatasetBundle(model, target, cov, manifest, inputs=inputs, observations=labels)
 
     # multiclass: one independent latent field per class, class-major stacking
     k = spec["classes"]
-    fields = np.stack([_draw_from_prior(cov[:n, :n], rng) for _ in range(k)])
+    fields = np.stack([draw() for _ in range(k)])
     logits = fields - fields.max(axis=0, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=0, keepdims=True)
     labels = np.array([rng.choice(k, p=probs[:, i]) for i in range(n)])
     target = CategoricalSoftmax(labels, n_classes=k)
     return DatasetBundle(model, target, cov, manifest, inputs=inputs, observations=labels)
-
-
-def _draw_from_prior(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    prior = eigendecompose_covariance(cov)
-    return prior.basis @ (prior.sqrt_eigenvalues * rng.standard_normal(prior.dimension)[: prior.rank])
 
 
 def down_sample_cox(counts: np.ndarray) -> np.ndarray:
@@ -734,7 +755,7 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Execute every (sampler, seed) cell of a benchmark config, in config order.
 
-    The covariance is decomposed once (``shared_prior``) and shared
+    The covariance is decomposed once (``dataset_and_prior``) and shared
     read-only; each run owns its chain, RNG and counters, and failures are
     captured in that run's report row without disturbing the others.  Runs
     go one after another in the calling thread, so each run's timings count
@@ -743,9 +764,8 @@ def run_benchmark(
     """
     if threads != 1:
         raise ValueError(f"run_benchmark runs its jobs one after another; threads must be 1, got {threads!r}")
-    bundle = resolve_dataset(config)
     setup_counter = OpCounter()
-    prior = shared_prior(config, bundle, setup_counter)
+    bundle, prior = dataset_and_prior(config, setup_counter)
 
     reports = []
     runs = {}
@@ -790,8 +810,18 @@ def run_benchmark(
     return result
 
 
-def shared_prior(config: ExperimentConfig, bundle: DatasetBundle, counter: OpCounter | None = None) -> SpectralPrior:
-    """The decomposition every job of a config shares.
+def dataset_and_prior(
+    config: ExperimentConfig, counter: OpCounter | None = None
+) -> tuple[DatasetBundle, SpectralPrior]:
+    """A config's dataset, and the decomposition every job of the config shares.
+
+    A simulated dataset with no ``kernel`` section whose chains run on a
+    dense prior (regression, binary, and Cox in hyper mode) draws its field
+    from the chains' own decomposition, made here once: with no kernel
+    section the jitter is 0, so it is the decomposition the draw needs.
+    Elsewhere the draw decomposes on its own: a ``kernel`` section gives
+    inference another covariance, multiclass chains run on the block
+    diagonal of all classes, and fixed grid Cox runs on the torus.
 
     Fixed-hyperparameter grid Cox configs hand the grid kernel to
     ``eigendecompose_covariance``, which embeds it in a torus of twice the
@@ -802,21 +832,26 @@ def shared_prior(config: ExperimentConfig, bundle: DatasetBundle, counter: OpCou
     dense: the padding cells' prior terms would enter theta's conditional
     given x and slow theta's mixing.
     """
+    shared = config.simulate is not None and config.kernel is None and config.model != "multiclass"
+    if shared and not _on_torus(config):
+        source = _simulation_prior(config.model, config.simulate, counter)
+        return simulate_dataset(config.model, config.simulate, source=source), source.prior
+    bundle = resolve_dataset(config)
     jitter = (config.kernel or {}).get("jitter", 0.0)
-    grid = _torus_candidate(config, bundle)
-    return eigendecompose_covariance(grid or bundle.covariance, jitter=jitter, counter=counter)
+    cov = bundle.grid if _on_torus(config) else bundle.covariance
+    return bundle, eigendecompose_covariance(cov, jitter=jitter, counter=counter)
 
 
-def _torus_candidate(config: ExperimentConfig, bundle: DatasetBundle) -> GridKernel | None:
-    return bundle.grid if config.model == "cox" and config.hyper_mode == "fixed" else None
+def _on_torus(config: ExperimentConfig) -> bool:
+    """Whether the config's chains try the torus: fixed-hyperparameter grid Cox."""
+    return config.model == "cox" and config.hyper_mode == "fixed"
 
 
 def _torus_eigenvalue_ratio(config: ExperimentConfig, bundle: DatasetBundle) -> float | None:
     """Smallest over largest torus eigenvalue of C + jitter I, where the torus was tried."""
-    grid = _torus_candidate(config, bundle)
-    if grid is None:
+    if not _on_torus(config):
         return None
-    eigenvalues = grid.torus_eigenvalues + (config.kernel or {}).get("jitter", 0.0)
+    eigenvalues = bundle.grid.torus_eigenvalues + (config.kernel or {}).get("jitter", 0.0)
     return float(eigenvalues.min() / eigenvalues.max())
 
 

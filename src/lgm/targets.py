@@ -248,12 +248,24 @@ def grid_exponential_kernel(
         scale = float(side)
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale!r}")
+    # C takes only side^2 values, one per offset (di, dj): build that table,
+    # then gather C from it with one n^2 temporary.
     idx = np.arange(side)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    coords = np.column_stack([ii.reshape(-1), jj.reshape(-1)]).astype(float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
-    return variance * np.exp(-dist / (scale * beta))
+    table = _exponential_decay(idx.astype(float), variance, scale * beta)
+    gap = np.abs(idx[:, None] - idx[None, :])  # gap[i, i'] = |i - i'|
+    rows = table[:, gap]  # rows[di, j, j'] = table[di, |j - j'|]
+    n = side * side
+    return rows[gap].transpose(0, 2, 1, 3).reshape(n, n)
+
+
+def _exponential_decay(offsets: np.ndarray, variance: float, length: float) -> np.ndarray:
+    """variance * exp(-sqrt(a^2 + b^2) / length) for every pair (a, b) of ``offsets``.
+
+    The offsets are whole numbers, so their squares and sums are exact and
+    every entry is the value the pairwise formula gives.
+    """
+    dist = np.sqrt(offsets[:, None] ** 2 + offsets[None, :] ** 2)
+    return variance * np.exp(-dist / length)
 
 
 @dataclass(frozen=True)
@@ -287,8 +299,7 @@ class GridKernel:
         """
         t = 2 * self.side
         wrapped = np.minimum(np.arange(t), t - np.arange(t)).astype(float)
-        dist = np.sqrt(wrapped[:, None] ** 2 + wrapped[None, :] ** 2)
-        row = self.variance * np.exp(-dist / (self.scale * self.beta))
+        row = _exponential_decay(wrapped, self.variance, self.scale * self.beta)
         eigenvalues = scipy.fft.fft2(row).real.reshape(-1).copy()
         eigenvalues.flags.writeable = False
         return eigenvalues

@@ -129,6 +129,11 @@ class TestRunCommand:
         config = tiny_run_config(tmp_path, burn_in=3)
         assert main(["run", str(config)]) == 2
 
+    def test_repeated_seed_is_a_config_error(self, tmp_path, capsys):
+        config = tiny_run_config(tmp_path, seeds=[0, 0])
+        assert main(["run", str(config)]) == 2
+        assert "config.seeds repeats a seed" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
 

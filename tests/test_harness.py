@@ -84,6 +84,8 @@ class TestConfigValidation:
             validate_config(base_config(seeds=[0, -1]))
         with pytest.raises(ConfigError, match="seeds"):
             validate_config(base_config(seeds=[True]))
+        with pytest.raises(ConfigError, match=r"config\.seeds repeats a seed"):
+            validate_config(base_config(seeds=[3, 1, 3]))
 
     def test_run_length_floors(self):
         with pytest.raises(ConfigError, match="burn_in"):
@@ -506,9 +508,7 @@ class TestCoxPriorRoute:
             assert result.runs[(report.method, 0)].samples.shape == (150, 36)
 
     def test_torus_likelihood_sees_only_the_observed_cells(self):
-        config = cox_config({"side": 6, "seed": 2})
-        bundle = resolve_dataset(config)
-        prior = harness.shared_prior(config, bundle)
+        bundle, prior = harness.dataset_and_prior(cox_config({"side": 6, "seed": 2}))
         target = bundle.target
         assert isinstance(prior, TorusPrior) and target.dimension == prior.observed_dimension == 36
         # reference: the grid padded to the torus with zero counts and zero exposure
@@ -556,6 +556,80 @@ class TestCoxPriorRoute:
         assert learn.meta["dimension"] == 16 and learn.reports[0].dimension == 16
         regression = run_benchmark(validate_config(base_config(seeds=[0])), threads=1, write=False)
         assert regression.meta["prior"] == "dense" and regression.meta["torus_eigenvalue_ratio"] is None
+
+
+def count_decompositions(monkeypatch):
+    """The covariances handed to the harness's ``eigendecompose_covariance``, recorded as it runs."""
+    calls = []
+    real = harness.eigendecompose_covariance
+
+    def counting(cov, *args, **kwargs):
+        calls.append(cov)
+        return real(cov, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "eigendecompose_covariance", counting)
+    return calls
+
+
+class TestSetupDecompositions:
+    """Set-up decomposes each covariance once, and every dataset stays as ``simulate_dataset`` draws it."""
+
+    @pytest.mark.parametrize("model", ["regression", "binary"])
+    def test_simulated_dense_config_decomposes_once(self, monkeypatch, model):
+        raw = base_config(model=model, simulate={"n": 12, "seed": 3})
+        calls = count_decompositions(monkeypatch)
+        result = run_benchmark(validate_config(raw), threads=1, write=False)
+        assert len(calls) == 1 and result.meta["setup_factorizations"] == 1
+
+    def test_cox_hyper_config_decomposes_once(self, monkeypatch):
+        config = cox_config({"side": 4, "seed": 2}, samplers=["agrad-z"], hyper={"mode": "joint"}, collect=100)
+        calls = count_decompositions(monkeypatch)
+        result = run_benchmark(config, threads=1, write=False)
+        assert len(calls) == 1 and result.meta["setup_factorizations"] == 1
+
+    def test_fixed_cox_decomposes_the_dense_draw_and_the_torus(self, monkeypatch):
+        calls = count_decompositions(monkeypatch)
+        result = run_benchmark(cox_config({"side": 4, "seed": 2}, samplers=["mgrad"]), threads=1, write=False)
+        assert [type(cov) for cov in calls] == [np.ndarray, harness.GridKernel]
+        assert result.meta["setup_factorizations"] == 1
+
+    def test_a_kernel_section_decomposes_the_draw_and_the_inference_covariance(self, monkeypatch):
+        raw = base_config(seeds=[0], kernel={"type": "squared_exponential", "jitter": 1e-6})
+        calls = count_decompositions(monkeypatch)
+        run_benchmark(validate_config(raw), threads=1, write=False)
+        assert len(calls) == 2
+
+    def test_multiclass_draws_every_class_from_one_decomposition(self, monkeypatch):
+        spec = {"n": 10, "classes": 3, "seed": 4}
+        calls = count_decompositions(monkeypatch)
+        bundle = simulate_dataset("multiclass", spec)
+        assert len(calls) == 1 and calls[0].shape == (10, 10)
+        # the same draws as one decomposition per class, in class order
+        rng = np.random.default_rng(4)
+        fields = []
+        for _ in range(3):
+            prior = eigendecompose_covariance(bundle.covariance[:10, :10])
+            fields.append(prior.basis @ (prior.sqrt_eigenvalues * rng.standard_normal(10)[: prior.rank]))
+        probs = np.exp(np.stack(fields) - np.max(fields, axis=0))
+        probs /= probs.sum(axis=0)
+        labels = [rng.choice(3, p=probs[:, i]) for i in range(10)]
+        np.testing.assert_array_equal(bundle.observations, labels)
+
+    @pytest.mark.parametrize("model, simulate, hyper", [
+        ("regression", {"n": 12, "sigma2": 0.5, "seed": 3}, {}),
+        ("binary", {"n": 12, "seed": 3}, {}),
+        ("cox", {"side": 4, "seed": 2}, {"mode": "joint"}),
+    ])
+    def test_the_shared_decomposition_draws_the_dataset_simulate_dataset_draws(self, model, simulate, hyper):
+        raw = base_config(model=model, simulate=simulate, samplers=["agrad-z"], hyper=hyper)
+        bundle, prior = harness.dataset_and_prior(validate_config(raw))
+        alone = simulate_dataset(model, simulate)
+        np.testing.assert_array_equal(bundle.observations, alone.observations)
+        np.testing.assert_array_equal(bundle.covariance, alone.covariance)
+        assert bundle.manifest == alone.manifest
+        reference = eigendecompose_covariance(alone.covariance)
+        np.testing.assert_array_equal(prior.eigenvalues, reference.eigenvalues)
+        np.testing.assert_array_equal(prior.basis, reference.basis)
 
 
 class TestOutputs:

@@ -215,6 +215,16 @@ class TestSquaredExponentialKernel:
             squared_exponential_kernel(np.array([0.0]), variance=-1.0)
 
 
+def pairwise_grid_exponential(side, variance, beta, scale=None):
+    """The grid kernel from the coordinate difference of every pair of cells."""
+    scale = float(side) if scale is None else scale
+    idx = np.arange(side)
+    ii, jj = np.meshgrid(idx, idx, indexing="ij")
+    coords = np.column_stack([ii.reshape(-1), jj.reshape(-1)]).astype(float)
+    diff = coords[:, None, :] - coords[None, :, :]
+    return variance * np.exp(-np.sqrt(np.sum(diff**2, axis=-1)) / (scale * beta))
+
+
 class TestGridExponentialKernel:
     def test_known_entries_row_major(self):
         side = 4
@@ -237,6 +247,12 @@ class TestGridExponentialKernel:
         corner_coarse = c_coarse[0, -1]
         corner_fine = c_fine[0, -1]
         assert corner_fine == pytest.approx(corner_coarse, rel=0.25)
+
+    @pytest.mark.parametrize("variance, beta, scale", [(1.91, 1.0 / 33.0, None), (2.0, 0.5, 3.0), (0.3, 7.0, None)])
+    def test_equals_the_pairwise_difference_formula_bit_for_bit(self, variance, beta, scale):
+        for side in range(1, 41):
+            expected = pairwise_grid_exponential(side, variance, beta, scale)
+            np.testing.assert_array_equal(grid_exponential_kernel(side, variance, beta, scale), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="side"):
