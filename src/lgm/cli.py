@@ -2,7 +2,7 @@
 
     lgm run <config.json>         execute a benchmark config
     lgm simulate <spec.json>      draw a synthetic dataset to CSV + manifest
-    lgm tune <config.json>        burn-in tuning only; report tuned step sizes
+    lgm tune <config.json>        burn-in tuning only (fixed-hyperparameter configs)
     lgm validate                  brute-force oracle suite; nonzero exit on failure
     lgm downsample <counts.csv>   merge 2x2 grid cells of a Cox counts file
 
@@ -137,6 +137,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if config.hyper_mode != "fixed":
+        raise ConfigError(
+            f"lgm tune tunes fixed-hyperparameter chains, but config.hyper.mode is {config.hyper_mode!r}; "
+            "a theta run tunes delta inside its own sweeps"
+        )
     bundle, prior = dataset_and_prior(config)
     rows = []
     for kind in config.samplers:

@@ -9,7 +9,7 @@ ESS = T / (-1 + 2 * sum Gamma_m), clipped to [1, T].
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -120,28 +120,13 @@ class RunReport:
         return self.ess_min / total if total > 0 else float("nan")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "method": self.method,
-            "seed": self.seed,
-            "delta": self.delta,
-            "kappa": self.kappa,
-            "collect_seconds": self.collect_seconds,
-            "burn_in_seconds": self.burn_in_seconds,
-            "ess_min": self.ess_min,
-            "ess_median": self.ess_median,
-            "ess_max": self.ess_max,
-            "min_ess_per_second": self.min_ess_per_second,
-            "min_ess_per_second_total": self.min_ess_per_second_total,
-            "acceptance_rate": self.acceptance_rate,
-            "matvecs": self.matvecs,
-            "factorizations": self.factorizations,
-            "n_samples": self.n_samples,
-            "dimension": self.dimension,
-            "degenerate_coords": self.degenerate_coords,
-            "warning": self.warning,
-            "error": self.error,
-        }
+        """Every field but ``extra``, the schema version and both ESS rates, then ``extra``'s entries."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        out.update(
+            schema_version=REPORT_SCHEMA_VERSION,
+            min_ess_per_second=self.min_ess_per_second,
+            min_ess_per_second_total=self.min_ess_per_second_total,
+        )
         out.update(self.extra)
         return out
 

@@ -295,6 +295,11 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig
             "hyperparameter learning updates the latent field with the agrad-z kernel; "
             "set config.samplers to ['agrad-z']"
         )
+    if hyper["mode"] != "fixed" and config["thin"] != 1:
+        raise ConfigError(
+            f"hyperparameter learning records one (theta, x) sample per sweep; config.thin must be 1, "
+            f"got {config['thin']}"
+        )
     if len(hyper["theta0"]) != 1:
         raise ConfigError(
             f"config.hyper.theta0 must hold exactly one number, the log-amplitude; got {len(hyper['theta0'])}"

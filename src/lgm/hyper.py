@@ -45,10 +45,9 @@ from .adaptation import (
     adapt_step,
 )
 from .samplers import (
-    ChainState,
+    Chain,
     SamplerKind,
     draw_noised_gradient_aux,
-    init_chain_state,
     metropolis_step,
     mh_accept,
     propose_given_noised_gradient_aux,
@@ -199,13 +198,14 @@ class ThetaStepResult:
     theta_log_ratio: float
 
 
-class HyperChain:
-    """A chain over (x, theta): auxiliary-gradient latent steps plus theta moves.
+class HyperChain(Chain):
+    """An agrad-z ``Chain`` over (x, theta): fixed-theta latent steps plus theta moves.
 
     ``mode`` selects how theta moves: "joint" proposes (x, theta) together,
     "gibbs" updates theta alone between latent sweeps.  ``kappa`` is the
     theta random-walk variance; zero disables theta moves (the chain then
-    matches a fixed-covariance latent chain exactly).
+    matches a fixed-covariance latent chain exactly).  A theta move that is
+    accepted swaps ``prior`` and ``ops`` for those of the new covariance.
     """
 
     def __init__(
@@ -217,8 +217,6 @@ class HyperChain:
         mode: str = "joint",
         delta: float = 1.0,
         kappa: float = 0.25,
-        x0: np.ndarray | None = None,
-        counter: OpCounter | None = None,
     ):
         if mode not in ("joint", "gibbs"):
             raise ValueError(f"mode must be 'joint' or 'gibbs', got {mode!r}")
@@ -226,38 +224,27 @@ class HyperChain:
             raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
         self.model = model
         self.mode = mode
-        self.target = target
-        self.rng = rng
         self.kappa = float(kappa)
         self.theta = np.atleast_1d(np.array(theta0, dtype=float, copy=True))
         if self.theta.shape != self.model.prior.mean.shape:
             raise ValueError(
                 f"theta0 shape {self.theta.shape} does not match prior shape {self.model.prior.mean.shape}"
             )
-        self.counter = counter if counter is not None else OpCounter()
-        self.prior = model.covariance(self.theta)
-        self.ops = build_delta_operators(self.prior, delta)
-        if x0 is None:
-            x0 = np.zeros(self.prior.dimension)
-        self.state: ChainState = init_chain_state(
-            SamplerKind.AGRAD_Z, x0, self.prior, self.ops, target, self.counter
-        )
+        super().__init__(SamplerKind.AGRAD_Z, model.covariance(self.theta), target, rng, delta)
         self.theta_accept_count = 0
         self.theta_step_count = 0
-
-    @property
-    def delta(self) -> float:
-        return self.ops.delta
 
     @property
     def theta_acceptance_rate(self) -> float:
         return self.theta_accept_count / self.theta_step_count if self.theta_step_count else 0.0
 
-    def set_delta(self, delta: float) -> None:
-        self.ops = build_delta_operators(self.prior, delta)
-
     def latent_step(self) -> bool:
-        """One fixed-theta auxiliary gradient transition."""
+        """One fixed-theta auxiliary gradient transition.
+
+        Calls this module's ``step_agrad_z`` rather than ``Chain.step``, so
+        perfbench's tracer, which wraps ``hyper.step_agrad_z``, times latent
+        steps apart from theta moves.
+        """
         return step_agrad_z(self.state, self.prior, self.ops, self.target, self.rng).accepted
 
     def theta_step(self) -> ThetaStepResult:
@@ -376,21 +363,19 @@ def run_hyper_chain(
     burn_in: int = 2000,
     collect: int = 2000,
     latent_steps_per_move: int | None = DEFAULT_LATENT_STEPS_PER_MOVE,
-    delta: float = 1.0,
     kappa: float = 0.25,
-    adapt: bool = True,
-    x0: np.ndarray | None = None,
 ) -> HyperRunResult:
     """Run a hyperparameter-learning chain and return (theta, x) samples.
 
     One sweep is ``latent_steps_per_move`` fixed-theta latent transitions
     followed by one theta move; ``latent_steps_per_move=None`` keeps theta
     fixed forever.  ``burn_in`` and ``collect`` count sweeps; one (theta, x)
-    sample is recorded per collected sweep.  During burn-in, delta adapts on
-    the latent acceptances toward 0.55 and kappa on the theta-move
-    acceptances toward 0.25; both freeze afterwards.  The result carries
-    the wall seconds of each phase, and its counter covers the collect
-    phase only, like ``harness.benchmark_single``.
+    sample is recorded per collected sweep.  The chain starts at x = 0 with
+    delta = 1.  During burn-in, delta adapts on the latent acceptances
+    toward 0.55 and kappa on the theta-move acceptances toward 0.25; both
+    stay fixed afterwards.  The result carries the wall seconds of each
+    phase, and its counter covers the collect phase only, like
+    ``harness.benchmark_single``.
     """
     if burn_in < MIN_BURN_IN:
         raise ValueError(f"burn_in must be at least {MIN_BURN_IN}, got {burn_in!r}")
@@ -400,7 +385,7 @@ def run_hyper_chain(
     if r_steps is not None and r_steps < 0:
         raise ValueError(f"latent_steps_per_move must be nonnegative or None, got {r_steps!r}")
 
-    chain = HyperChain(model, target, theta0, rng, mode=mode, delta=delta, kappa=kappa, x0=x0)
+    chain = HyperChain(model, target, theta0, rng, mode=mode, kappa=kappa)
     delta_ctl = AdaptState(log_delta=math.log(chain.delta), target_rate=GRADIENT_TARGET_RATE)
     kappa_ctl = (
         AdaptState(log_delta=math.log(chain.kappa), target_rate=BASELINE_TARGET_RATE)
@@ -424,11 +409,8 @@ def run_hyper_chain(
 
     t0 = time.perf_counter()
     for _ in range(burn_in):
-        sweep(adapting=adapt)
+        sweep(adapting=True)
     burn_in_seconds = time.perf_counter() - t0
-    delta_ctl.frozen = True
-    if kappa_ctl is not None:
-        kappa_ctl.frozen = True
 
     theta_samples = np.empty((collect, chain.theta.shape[0]))
     x_samples = np.empty((collect, chain.prior.dimension))

@@ -37,12 +37,6 @@ STATIONARITY_TOL = 1e-6
 DETAILED_BALANCE_TOL = 1e-6
 PESKUN_TOL = 1e-4
 
-# Asymptotic-variance test battery, fixed so results are comparable across
-# runs: identity, second moment, and a right-tail indicator at the 0.9
-# stationary quantile.
-BATTERY_NAMES = ("identity", "square", "tail_indicator_q90")
-
-
 @dataclass(frozen=True)
 class Grid1D:
     """Midpoint discretization of a 1-D density."""
@@ -172,15 +166,13 @@ def build_kernel_matrix(
     target: OracleTarget1D,
     grid: Grid1D,
     aux_points: int = DEFAULT_AUX_POINTS,
-    check_convergence: bool = False,
 ) -> np.ndarray:
     """Exact transition matrix of a sampler on the discretized 1-D target.
 
     For the auxiliary-variable kernels the auxiliary coordinate is
     integrated over its own grid of ``aux_points`` cells; each cell is
     integrated in closed form, so the count matters only through the
-    truncation span.  With ``check_convergence`` the auxiliary grid is
-    doubled and the two kernels must agree within 1e-6 entrywise.
+    truncation span.
     """
     kind = SamplerKind(kind)
     if kind is SamplerKind.ELLIPT:
@@ -192,16 +184,7 @@ def build_kernel_matrix(
         raise ValueError(f"delta must be positive, got {delta!r}")
 
     if kind in (SamplerKind.AGRAD_Z, SamplerKind.AGRAD_U):
-        p = _aux_kernel(kind, delta, target, grid, aux_points)
-        if check_convergence:
-            p2 = _aux_kernel(kind, delta, target, grid, 2 * aux_points)
-            drift = np.abs(p - p2).max()
-            if drift > 1e-6:
-                raise ValueError(
-                    f"auxiliary quadrature has not converged: doubling the grid moves "
-                    f"kernel entries by {drift:.3e}"
-                )
-        return p
+        return _aux_kernel(kind, delta, target, grid, aux_points)
     return _direct_kernel(kind, delta, target, grid)
 
 

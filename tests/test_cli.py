@@ -183,6 +183,15 @@ class TestTuneCommand:
         assert tuned == report.delta
 
 
+    @pytest.mark.parametrize("mode", ["joint", "gibbs"])
+    def test_hyperparameter_config_is_refused(self, tmp_path, capsys, mode):
+        # a theta run tunes delta inside its own sweeps, not on the fixed base prior that tune would use
+        config = tiny_run_config(tmp_path, samplers=["agrad-z"], hyper={"mode": mode}, R=3)
+        out_dir = tmp_path / "tuned"
+        assert main(["tune", str(config), "--out", str(out_dir)]) == 2
+        assert "config.hyper.mode" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 class TestValidateCommand:
     def test_all_checks_pass(self, capsys):
         assert main(["validate"]) == 0

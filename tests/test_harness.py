@@ -112,6 +112,15 @@ class TestConfigValidation:
         raw = base_config(samplers=["agrad-z"], hyper={"mode": "joint", "theta0": [0.5]})
         assert validate_config(raw).hyper["theta0"] == [0.5]
 
+    @pytest.mark.parametrize("mode", ["joint", "gibbs"])
+    def test_hyper_learning_refuses_thinning(self, mode):
+        # a theta run records one (theta, x) sample per sweep and never reads thin
+        raw = base_config(samplers=["agrad-z"], hyper={"mode": mode}, thin=5)
+        with pytest.raises(ConfigError, match=r"config\.thin must be 1"):
+            validate_config(raw)
+        assert validate_config(base_config(samplers=["agrad-z"], hyper={"mode": mode}, thin=1)).thin == 1
+        assert validate_config(base_config(thin=5)).thin == 5
+
     def test_dataset_without_kernel_takes_the_manifest_kernel(self, tmp_path):
         bundle = simulate_dataset("regression", {"n": 25, "seed": 7, "sigma2": 0.3, "lengthscale2": 0.05,
                                                  "amplitude": 2.0})

@@ -103,6 +103,11 @@ class TestHyperChain:
         with pytest.raises(ValueError, match="shape"):
             HyperChain(model, target, np.zeros(2), rng)
 
+    def test_target_dimension_must_match_the_prior(self, rng):
+        model, _ = self.make_setup(n=5)
+        with pytest.raises(ValueError, match="target dimension 1 does not match"):
+            HyperChain(model, GaussianRegression(np.array([0.3]), 0.5), np.zeros(1), rng)
+
     @pytest.mark.parametrize("mode", ["joint", "gibbs"])
     def test_theta_moves_and_counts(self, mode):
         model, target = self.make_setup()
