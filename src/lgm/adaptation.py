@@ -59,7 +59,8 @@ def adapt_step(adapt: AdaptState, accepted: bool) -> AdaptState:
 
     Every ``window`` observations, moves log_delta by
     gain * t^{-decay} * (batch acceptance - target) where t counts updates.
-    No-op once frozen.
+    A frozen controller takes no more updates: calling this on one raises
+    ValueError.
     """
     if adapt.frozen:
         raise ValueError("adapt_step called on a frozen controller")

@@ -156,6 +156,34 @@ class HalfSpaceTarget(TargetModel):
         return self._value_and_gradient(x)[0]
 
 
+def check_nonfinite_gradient_rejected_like_nonfinite_value(kind):
+    """Run ``kind`` on the HalfSpaceTarget broken in value and in gradient, from one seed.
+
+    The two chains must agree step for step, never hold a non-finite
+    gradient, reach the broken half-space with some proposal, and move.
+    """
+    runs = {}
+    for broken in ("value", "gradient"):
+        target = HalfSpaceTarget(6, broken)
+        chain = make_chain(kind, np.random.default_rng(22), target=target, x0=-np.ones(6), delta=0.5)
+        results = []
+        for _ in range(300):
+            results.append(chain.step())
+            assert np.isfinite(chain.state.grad_x).all()
+        runs[broken] = (chain.state.x, [r.accepted for r in results], [r.proposal[0] > 0.0 for r in results])
+    np.testing.assert_array_equal(runs["value"][0], runs["gradient"][0])
+    assert runs["value"][1] == runs["gradient"][1]
+    assert any(runs["gradient"][2]), "no proposal reached the broken half-space"
+    assert any(runs["gradient"][1]), "chain never moved"
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_KINDS, key=lambda k: k.value))
+def test_gradient_kernel_rejects_nonfinite_gradient_like_nonfinite_value(kind):
+    # A gradient kernel reads grad f at its proposal for the acceptance
+    # ratio: a NaN there must reject, after the same accept draw, as f = -inf.
+    check_nonfinite_gradient_rejected_like_nonfinite_value(kind)
+
+
 class TestValueOnlyKernels:
     """pCN and Ellipt evaluate f alone at proposals; grad f only where they move."""
 
@@ -171,17 +199,7 @@ class TestValueOnlyKernels:
     def test_pcn_rejects_nonfinite_gradient_like_nonfinite_value(self):
         # A finite f with a NaN gradient must be rejected after the same
         # accept draw as a proposal whose f is -inf, so both chains coincide.
-        runs = {}
-        for broken in ("value", "gradient"):
-            target = HalfSpaceTarget(6, broken)
-            chain = make_chain(SamplerKind.PCN, np.random.default_rng(22), target=target, x0=-np.ones(6), delta=0.5)
-            results = [chain.step() for _ in range(300)]
-            assert np.isfinite(chain.state.grad_x).all()
-            runs[broken] = (chain.state.x, [r.accepted for r in results], [r.proposal[0] > 0.0 for r in results])
-        np.testing.assert_array_equal(runs["value"][0], runs["gradient"][0])
-        assert runs["value"][1] == runs["gradient"][1]
-        assert any(runs["gradient"][2]), "no proposal reached the broken half-space"
-        assert any(runs["gradient"][1]), "chain never moved"
+        check_nonfinite_gradient_rejected_like_nonfinite_value(SamplerKind.PCN)
 
     def test_ellipt_shrinks_past_a_nonfinite_gradient(self):
         # a slice point whose gradient is NaN counts as off the slice, as pCN

@@ -1,9 +1,12 @@
 """Eigendecomposition, diagonal operators, and shrinkage map tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lgm.spectral import (
+    NULL_REL_TOL,
     DeltaOperators,
     OpCounter,
     SpectralPrior,
@@ -15,6 +18,7 @@ from lgm.spectral import (
     shrinkage_maps,
     to_spectral,
 )
+from lgm.targets import grid_exponential_kernel, squared_exponential_kernel
 
 from conftest import full_basis_prior, make_singular_psd, make_spd, null_directions
 
@@ -95,6 +99,107 @@ class TestEigendecomposition:
         prior = eigendecompose_covariance(make_spd(7, rng))
         assert prior.dimension == 7 and prior.rank == 7
         np.testing.assert_allclose(prior.sqrt_eigenvalues**2, prior.eigenvalues)
+
+
+def reference_decomposition(cov, jitter=0.0):
+    """The dense decomposition in its first form: eigenvalues and basis.
+
+    Every matrix is symmetrized as 0.5 (C + C^T), the eigenpairs are put in
+    descending order by a fancy index with argsort's order, and the basis is
+    cut to the eigenvalues above the null tolerance.
+    """
+    cov = np.asarray(cov, dtype=float)
+    sym = 0.5 * (cov + cov.T)
+    if jitter:
+        sym = sym + jitter * np.eye(sym.shape[0])
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    gamma_max = max(eigvals[0], 0.0)
+    eigvals = np.where(eigvals > NULL_REL_TOL * gamma_max, eigvals, 0.0)
+    rank = int(np.count_nonzero(eigvals))
+    return eigvals[:rank], eigvecs[:, :rank]
+
+
+def tie_reversing_argsort(a, *args, **kwargs):
+    """An ascending argsort that puts tied entries in descending index order."""
+    return np.lexsort((-np.arange(len(a)), a))
+
+
+def asymmetric_at_1e12(rng):
+    cov = make_spd(30, rng)
+    cov = 0.5 * (cov + cov.T)
+    cov[3, 7] *= 1.0 + 1e-12
+    return cov
+
+
+# Each case: covariance, jitter, and whether tied eigenvalues must come back
+# in an order other than the plain reversal of eigh's.
+SET_UP_CASES = {
+    "symmetric grid kernel": (lambda rng: grid_exponential_kernel(12, 1.91, 1.0 / 33.0), 0.0, False),
+    "rank-deficient squared exponential": (
+        lambda rng: squared_exponential_kernel(np.linspace(0.0, 1.0, 60), 1.0, 0.05), 0.0, False
+    ),
+    "asymmetric at 1e-12": (asymmetric_at_1e12, 0.0, False),
+    "tied eigenvalues": (
+        lambda rng: np.kron(np.eye(12), [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]]), 0.0, True
+    ),
+    "jitter": (lambda rng: grid_exponential_kernel(8, 1.0, 0.5), 1e-3, False),
+}
+
+
+class TestDenseSetUp:
+    """The dense set-up returns the reference decomposition bit for bit."""
+
+    @pytest.mark.parametrize("case", list(SET_UP_CASES))
+    def test_matches_reference_bit_for_bit(self, case, rng, monkeypatch):
+        build, jitter, permute_ties = SET_UP_CASES[case]
+        cov = build(rng)
+        if permute_ties:
+            # an argsort that permutes ties: the reorder must follow its order
+            monkeypatch.setattr(np, "argsort", tie_reversing_argsort)
+            order = np.argsort(np.linalg.eigvalsh(cov))
+            assert not np.array_equal(order, np.arange(cov.shape[0]))
+        prior = eigendecompose_covariance(cov, jitter=jitter)
+        eigvals, basis = reference_decomposition(cov, jitter)
+        for got, want in ((prior.eigenvalues, eigvals), (prior.basis, basis)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert prior.basis.flags.c_contiguous
+
+    def test_cases_cover_rank_deficiency_and_asymmetry(self, rng):
+        cov = SET_UP_CASES["rank-deficient squared exponential"][0](rng)
+        assert np.array_equal(cov, cov.T) and eigendecompose_covariance(cov).rank < cov.shape[0]
+        cov = SET_UP_CASES["asymmetric at 1e-12"][0](rng)
+        assert not np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_entry(self, bad):
+        cov = np.eye(3)
+        cov[0, 2] = cov[2, 0] = bad
+        with pytest.raises(ValueError, match="covariance contains non-finite entries"):
+            eigendecompose_covariance(cov)
+
+    def test_rejects_asymmetry_above_tolerance(self):
+        cov = np.eye(4)
+        cov[0, 1] = 1e-7
+        with pytest.raises(ValueError, match=r"not symmetric: max \|C - C.T\| = 1.000e-07"):
+            eigendecompose_covariance(cov)
+
+    def test_traced_peak_is_three_n_by_n_arrays(self):
+        # numpy reports its arrays to tracemalloc; LAPACK's workspace is
+        # outside it.  The set-up holds at most the basis, U sqrt(gamma) and
+        # one BLAS product at once; one more n x n copy, such as a
+        # symmetrized C or a second reorder, would cross the bound.
+        cov = grid_exponential_kernel(20, 1.91, 1.0 / 33.0)
+        n = cov.shape[0]
+        assert n == 400 and np.array_equal(cov, cov.T)
+        tracemalloc.start()
+        try:
+            eigendecompose_covariance(cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
 
 
 class TestSpectralTransforms:
