@@ -34,7 +34,6 @@ class AdaptState:
     window: int = 1
     iteration: int = 0
     gain: float = 1.0
-    decay: float = ADAPT_DECAY
     frozen: bool = False
     _pending_accepts: int = 0
     _pending_count: int = 0
@@ -58,9 +57,9 @@ def adapt_step(adapt: AdaptState, accepted: bool) -> AdaptState:
     """Fold one acceptance indicator into the controller.
 
     Every ``window`` observations, moves log_delta by
-    gain * t^{-decay} * (batch acceptance - target) where t counts updates.
-    A frozen controller takes no more updates: calling this on one raises
-    ValueError.
+    gain * t^{-ADAPT_DECAY} * (batch acceptance - target), where t counts
+    updates.  A frozen controller takes no more updates: calling this on
+    one raises ValueError.
     """
     if adapt.frozen:
         raise ValueError("adapt_step called on a frozen controller")
@@ -72,7 +71,7 @@ def adapt_step(adapt: AdaptState, accepted: bool) -> AdaptState:
     adapt._pending_accepts = 0
     adapt._pending_count = 0
     adapt.iteration += 1
-    adapt.log_delta += adapt.gain * adapt.iteration ** (-adapt.decay) * (rate - adapt.target_rate)
+    adapt.log_delta += adapt.gain * adapt.iteration ** (-ADAPT_DECAY) * (rate - adapt.target_rate)
     return adapt
 
 

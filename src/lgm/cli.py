@@ -75,27 +75,13 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return COMMAND_FUNCS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "downsample":
-        return _cmd_downsample(args)
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def _load_config(args: argparse.Namespace):
@@ -211,6 +197,16 @@ def _cmd_downsample(args: argparse.Namespace) -> int:
     else:
         print(f"wrote {out_path}")
     return 0
+
+
+# The subparsers are required, so every parsed command is a key here.
+COMMAND_FUNCS = {
+    "run": _cmd_run,
+    "simulate": _cmd_simulate,
+    "tune": _cmd_tune,
+    "validate": _cmd_validate,
+    "downsample": _cmd_downsample,
+}
 
 
 if __name__ == "__main__":

@@ -403,9 +403,7 @@ def _simulation_prior(model: str, spec: dict, counter: OpCounter | None = None) 
     return SimulationPrior(cov, None, inputs, eigendecompose_covariance(cov[:n, :n], counter=counter))
 
 
-def simulate_dataset(
-    model: str, spec: dict, rng: np.random.Generator | None = None, source: SimulationPrior | None = None
-) -> DatasetBundle:
+def simulate_dataset(model: str, spec: dict, source: SimulationPrior | None = None) -> DatasetBundle:
     """Draw a synthetic dataset: latent field from the prior, then observations.
 
     The returned bundle carries the exact covariance used for generation, so
@@ -415,7 +413,7 @@ def simulate_dataset(
     run on that decomposition pays for it once.
     """
     spec = validate_simulate_spec(model, dict(spec), path="simulate")
-    rng = rng if rng is not None else np.random.default_rng(spec["seed"])
+    rng = np.random.default_rng(spec["seed"])
     manifest = {"model": model, **spec}
     cov, grid, inputs, prior = source or _simulation_prior(model, spec)
 
@@ -492,7 +490,11 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     A ``<stem>.manifest.json`` sidecar, when present, supplies generation
     hyperparameters; explicit ``kernel``/``likelihood`` entries win over it.
     Without a kernel spec the covariance is the model's own kernel, its
-    parameters from the manifest (see ``_kernel_covariance``).
+    parameters from the manifest (see ``_kernel_covariance``).  Every entry
+    is checked: inputs and regression targets must be finite, Cox counts
+    nonnegative integers, binary labels 0 or 1, and multiclass labels
+    integers in [0, classes).  A bad entry is a ConfigError naming the file,
+    the column and the entry's data row.
     """
     path = Path(path)
     if not path.exists():
@@ -508,6 +510,7 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
         observations = np.atleast_2d(np.loadtxt(path, delimiter=","))
         if observations.shape[0] != observations.shape[1]:
             raise ConfigError(f"cox counts file must be a square grid, got shape {observations.shape}")
+        _refuse_entries(path, "the counts grid", observations, _is_count(observations), "nonnegative integers")
         cells = observations.size
     else:
         rows = np.genfromtxt(path, delimiter=",", names=True)
@@ -518,11 +521,20 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
             raise ConfigError(f"{model} dataset {path} must have a '{column}' column")
         inputs = np.atleast_1d(rows["input"])
         observations = np.atleast_1d(rows[column])
+        _refuse_entries(path, "column 'input'", inputs, np.isfinite(inputs), "finite numbers")
+        what = f"column '{column}'"
+        if model == "regression":
+            _refuse_entries(path, what, observations, np.isfinite(observations), "finite numbers")
+        elif model == "binary":
+            _refuse_entries(path, what, observations, (observations == 0) | (observations == 1), "0 or 1")
+        else:
+            _refuse_entries(path, what, observations, _is_count(observations), "nonnegative integers")
+            classes = int(_first(observations.max() + 1, likelihood.get("classes"), manifest.get("classes")))
+            _refuse_entries(path, what, observations, observations < classes, f"class indices below {classes}")
         if model != "regression":
             observations = observations.astype(int)
         cells = inputs.size
         if model == "multiclass":
-            classes = int(_first(observations.max() + 1, likelihood.get("classes"), manifest.get("classes")))
             cells *= classes
     cov, grid, kernel = _kernel_covariance(kernel, manifest, model, cells, inputs)
     meta = {"model": model, "kernel": kernel, "source": str(path)}
@@ -543,6 +555,19 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     else:
         target = CategoricalSoftmax(observations, n_classes=classes)
     return DatasetBundle(model, target, cov, meta, inputs=inputs, observations=observations, grid=grid)
+
+
+def _is_count(values: np.ndarray) -> np.ndarray:
+    """Which entries are finite nonnegative integers."""
+    return np.isfinite(values) & (values >= 0) & (values == np.floor(values))
+
+
+def _refuse_entries(path: Path, what: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Raise a ConfigError naming the file, ``what`` and the first entry of ``values`` that is not ``ok``."""
+    if not ok.all():
+        at = tuple(int(i) for i in np.argwhere(~ok)[0])
+        where = f"data row {at[0] + 1}" + (f", column {at[1] + 1}" if len(at) > 1 else "")
+        raise ConfigError(f"dataset file {path}: {what} must hold {rule}; {where} holds {values[at]:g}")
 
 
 def _read_manifest(sidecar: Path, model: str) -> dict:
@@ -613,7 +638,6 @@ class SingleRunResult:
     report: RunReport
     samples: np.ndarray | None = None
     theta_samples: np.ndarray | None = None
-    tuned_delta: float | None = None
 
 
 def seeded_chain(
@@ -674,7 +698,7 @@ def benchmark_single(
         factorizations=counter.factorizations,
         warning=tune.warning,
     )
-    return SingleRunResult(report=report, samples=samples if keep_samples else None, tuned_delta=chain.delta)
+    return SingleRunResult(report=report, samples=samples if keep_samples else None)
 
 
 def _hyper_single(
@@ -727,7 +751,6 @@ def _hyper_single(
         report=report,
         samples=result.x_samples if keep_samples else None,
         theta_samples=result.theta_samples if keep_samples else None,
-        tuned_delta=result.delta,
     )
 
 
@@ -735,7 +758,6 @@ def _hyper_single(
 class BenchmarkResult:
     """Everything a benchmark produced, before and after writing to disk."""
 
-    config: ExperimentConfig
     reports: list[RunReport]
     summary_rows: list[dict]
     digest: str
@@ -800,16 +822,9 @@ def run_benchmark(
         "torus_eigenvalue_ratio": _torus_eigenvalue_ratio(config, bundle),
         "setup_factorizations": setup_counter.factorizations,
         "hyper": config.hyper if config.hyper_mode != "fixed" else None,
-        "manifest": _json_safe(bundle.manifest),
+        "manifest": bundle.manifest,
     }
-    result = BenchmarkResult(
-        config=config,
-        reports=reports,
-        summary_rows=summary_rows,
-        digest=digest,
-        meta=meta,
-        runs=runs,
-    )
+    result = BenchmarkResult(reports=reports, summary_rows=summary_rows, digest=digest, meta=meta, runs=runs)
     if write and config.out is not None:
         write_benchmark_outputs(result, config.out, traces=keep_samples)
     return result
@@ -880,22 +895,6 @@ def _failure_report(method: str, seed: int, exc: Exception) -> RunReport:
     )
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
-
-
 def write_benchmark_outputs(result: BenchmarkResult, out_dir: str | Path, traces: bool = False) -> dict[str, Path]:
     """Write runs.csv, summary.csv, summary.json (and optional trace CSVs)."""
     out_dir = Path(out_dir)
@@ -927,7 +926,7 @@ def write_benchmark_outputs(result: BenchmarkResult, out_dir: str | Path, traces
         "table": result.summary_rows,
         "reports": [r.to_json_dict() for r in result.reports],
     }
-    json_path.write_text(json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     paths["json"] = json_path
 
     if traces:

@@ -188,13 +188,13 @@ def _range_logpdf(prior: SpectralPrior, quad: float) -> float:
 class ThetaStepResult:
     """Outcome of one hyperparameter move.
 
-    For the joint move the total log-ratio is exactly
-    latent_log_ratio + theta_log_ratio; the Gibbs move has no latent factor.
+    ``theta_log_ratio`` is the theta part of the log acceptance ratio: for
+    the joint move the log z-evidence and hyperparameter prior ratios, added
+    to the latent log-ratio; for the Gibbs move the whole log-ratio.
     """
 
     accepted: bool
     theta_proposal: np.ndarray
-    latent_log_ratio: float
     theta_log_ratio: float
 
 
@@ -288,7 +288,7 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
     if new_prior is None:
         state.step_count += 1
         chain.theta_step_count += 1
-        return ThetaStepResult(False, theta_prop, -math.inf, -math.inf)
+        return ThetaStepResult(False, theta_prop, -math.inf)
     y, f_y, grad_y, latent_ratio = propose_given_noised_gradient_aux(state, new_prior, new_ops, chain.target, rng, z)
     theta_ratio = 0.0
     if chain.kappa > 0.0:
@@ -305,7 +305,7 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
         chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
         chain.theta_accept_count += 1
     chain.theta_step_count += 1
-    return ThetaStepResult(result.accepted, theta_prop, latent_ratio, theta_ratio)
+    return ThetaStepResult(result.accepted, theta_prop, theta_ratio)
 
 
 def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
@@ -320,7 +320,7 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
     theta_prop, new_prior, new_ops = _propose_theta(chain)
     if new_prior is None:
         chain.theta_step_count += 1
-        return ThetaStepResult(False, theta_prop, 0.0, -math.inf)
+        return ThetaStepResult(False, theta_prop, -math.inf)
     theta_ratio = 0.0
     if chain.kappa > 0.0:
         x = chain.state.x
@@ -335,7 +335,7 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
         chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
         chain.theta_accept_count += 1
     chain.theta_step_count += 1
-    return ThetaStepResult(accepted, theta_prop, 0.0, theta_ratio)
+    return ThetaStepResult(accepted, theta_prop, theta_ratio)
 
 
 @dataclass
@@ -362,28 +362,26 @@ def run_hyper_chain(
     mode: str = "joint",
     burn_in: int = 2000,
     collect: int = 2000,
-    latent_steps_per_move: int | None = DEFAULT_LATENT_STEPS_PER_MOVE,
+    latent_steps_per_move: int = DEFAULT_LATENT_STEPS_PER_MOVE,
     kappa: float = 0.25,
 ) -> HyperRunResult:
     """Run a hyperparameter-learning chain and return (theta, x) samples.
 
     One sweep is ``latent_steps_per_move`` fixed-theta latent transitions
-    followed by one theta move; ``latent_steps_per_move=None`` keeps theta
-    fixed forever.  ``burn_in`` and ``collect`` count sweeps; one (theta, x)
-    sample is recorded per collected sweep.  The chain starts at x = 0 with
-    delta = 1.  During burn-in, delta adapts on the latent acceptances
-    toward 0.55 and kappa on the theta-move acceptances toward 0.25; both
-    stay fixed afterwards.  The result carries the wall seconds of each
-    phase, and its counter covers the collect phase only, like
-    ``harness.benchmark_single``.
+    followed by one theta move; kappa = 0 keeps theta fixed.  ``burn_in``
+    and ``collect`` count sweeps; one (theta, x) sample is recorded per
+    collected sweep.  The chain starts at x = 0 with delta = 1.  During
+    burn-in, delta adapts on the latent acceptances toward 0.55 and kappa on
+    the theta-move acceptances toward 0.25; both stay fixed afterwards.  The
+    result carries the wall seconds of each phase, and its counter covers
+    the collect phase only, like ``harness.benchmark_single``.
     """
     if burn_in < MIN_BURN_IN:
         raise ValueError(f"burn_in must be at least {MIN_BURN_IN}, got {burn_in!r}")
     if collect < 1:
         raise ValueError(f"collect must be at least 1, got {collect!r}")
-    r_steps = latent_steps_per_move
-    if r_steps is not None and r_steps < 0:
-        raise ValueError(f"latent_steps_per_move must be nonnegative or None, got {r_steps!r}")
+    if latent_steps_per_move < 0:
+        raise ValueError(f"latent_steps_per_move must be nonnegative, got {latent_steps_per_move!r}")
 
     chain = HyperChain(model, target, theta0, rng, mode=mode, kappa=kappa)
     delta_ctl = AdaptState(log_delta=math.log(chain.delta), target_rate=GRADIENT_TARGET_RATE)
@@ -394,14 +392,12 @@ def run_hyper_chain(
     )
 
     def sweep(adapting: bool) -> None:
-        for _ in range(r_steps if r_steps is not None else 1):
+        for _ in range(latent_steps_per_move):
             accepted = chain.latent_step()
             if adapting:
                 adapt_step(delta_ctl, accepted)
                 if delta_ctl.delta != chain.delta:
                     chain.set_delta(delta_ctl.delta)
-        if r_steps is None:
-            return
         result = chain.theta_step()
         if adapting and kappa_ctl is not None:
             adapt_step(kappa_ctl, result.accepted)

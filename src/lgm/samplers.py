@@ -198,29 +198,15 @@ def init_chain_state(
         state.ux = to_spectral(prior, x0, counter)
         state.ugrad_x = to_spectral(prior, g0, counter)
         if kind is SamplerKind.MGRAD:
-            refresh_step_size_caches(state, kind, ops)
+            state.prop_mean_spec = _mgrad_proposal_mean(ops, state.ux, state.ugrad_x)
+            state.ratio_anchor_spec = _mgrad_ratio_anchor(ops, state.ux, state.ugrad_x)
         else:
             state.prior_quad_x = prior_quad_form(prior, x0, state.ux, counter)
     return state
 
 
-def refresh_step_size_caches(state: ChainState, kind: SamplerKind, ops: DeltaOperators | None) -> None:
-    """Rebuild the O(n) cached vectors that depend on the step size.
-
-    Only the marginal kernel stores such vectors.  Must be called after
-    every step-size change; costs no matvecs.
-    """
-    if SamplerKind(kind) is not SamplerKind.MGRAD:
-        return
-    if ops is None:
-        raise ValueError("marginal kernel requires delta operators")
-    if state.ux is None or state.ugrad_x is None:
-        raise ValueError("marginal kernel state is missing spectral caches")
-    state.prop_mean_spec = _mgrad_proposal_mean(ops, state.ux, state.ugrad_x)
-    state.ratio_anchor_spec = _mgrad_ratio_anchor(ops, state.ux, state.ugrad_x)
-
-
-# Kernel caches, each written once for init_chain_state and the accept path.
+# Kernel caches, each written once for init_chain_state and the accept path;
+# Chain.set_delta also rebuilds mGrad's two from the new operators.
 def _mgrad_proposal_mean(ops: DeltaOperators, u: np.ndarray, ugrad: np.ndarray) -> np.ndarray:
     return ops.aux_var * ((2.0 / ops.delta) * u + ugrad)
 
@@ -583,7 +569,7 @@ class Chain:
     ``delta`` defaults per kernel (1.0 for the auxiliary/marginal gradient
     kernels, 0.01 for the small-step baselines); the elliptical slice kernel
     has no step size.  ``set_delta`` rebuilds the O(n) diagonal operators and
-    cached vectors without touching the basis.
+    mGrad's two cached vectors without touching the basis.
     """
 
     def __init__(
@@ -623,15 +609,14 @@ class Chain:
     def counter(self) -> OpCounter:
         return self.state.counter
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.state.acceptance_rate
-
     def set_delta(self, delta: float) -> None:
         if self.kind is SamplerKind.ELLIPT:
             return
         self.ops = build_delta_operators(self.prior, delta)
-        refresh_step_size_caches(self.state, self.kind, self.ops)
+        if self.kind is SamplerKind.MGRAD:
+            state = self.state
+            state.prop_mean_spec = _mgrad_proposal_mean(self.ops, state.ux, state.ugrad_x)
+            state.ratio_anchor_spec = _mgrad_ratio_anchor(self.ops, state.ux, state.ugrad_x)
 
     def step(self) -> StepResult:
         return _STEP_FUNCS[self.kind](self.state, self.prior, self.ops, self.target, self.rng)

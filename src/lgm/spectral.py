@@ -8,7 +8,8 @@ and works in an orthonormal eigenbasis of the prior covariance
 C = U diag(gamma) U^T.  A prior is its eigenvalues plus the two basis
 transforms U^T v and U w; each transition costs a fixed number of them plus
 O(n) diagonal arithmetic.  Changing the step size delta never touches the
-basis: it only rebuilds diagonal vectors, and only those a kernel reads.
+basis: it builds new ``DeltaOperators``, whose diagonal vectors are
+``cached_property``s, computed only once a kernel reads them.
 
 Spectral vectors have the prior's ``rank`` r entries, one per basis column,
 and the field has ``dimension`` n.  Two priors implement the transforms.
@@ -333,6 +334,7 @@ def from_spectral(prior: SpectralPrior, w: np.ndarray, counter: OpCounter | None
     return prior.inverse_transform(w)
 
 
+@dataclass(frozen=True, eq=False)
 class DeltaOperators:
     """Step-size dependent diagonal operators shared by the gradient samplers.
 
@@ -350,53 +352,43 @@ class DeltaOperators:
     proposals, ``marginal_var`` the marginal proposal covariance, and
     ``ratio_weight`` the weighting inside the marginal acceptance ratio.
     All three are O(n) functions of the prior eigenvalues; the basis is
-    shared with the SpectralPrior and never recomputed.  The three diagonals
-    are built together on first use, and each square root on its own first
-    use; all are then cached.  pCN, pCNL and pMALA read only ``delta``, so
-    rebuilding the operators on every burn-in step costs them nothing.
+    shared with the SpectralPrior and never recomputed.  Each diagonal, each
+    square root and the two denominators are ``cached_property``s, computed
+    on first use: pCN, pCNL and pMALA read only ``delta``, so rebuilding the
+    operators on every burn-in step costs them nothing, and agrad-z computes
+    only ``aux_var`` and its square root.
     """
 
-    __slots__ = ("delta", "eigenvalues", "_diagonals", "_sqrt_aux_var", "_sqrt_marginal_var")
+    delta: float
+    eigenvalues: np.ndarray
 
-    def __init__(self, delta: float, eigenvalues: np.ndarray):
-        self.delta = delta
-        self.eigenvalues = eigenvalues
-        self._diagonals = None
-        self._sqrt_aux_var = None
-        self._sqrt_marginal_var = None
+    @cached_property
+    def _narrow(self) -> np.ndarray:
+        return self.delta + 2.0 * self.eigenvalues
 
-    def _diagonal(self, i: int) -> np.ndarray:
-        if self._diagonals is None:
-            gamma = self.eigenvalues
-            denom = self.delta + 2.0 * gamma
-            aux_var = gamma * self.delta / denom
-            wide = self.delta + 4.0 * gamma
-            self._diagonals = (aux_var, aux_var * wide / denom, denom / wide)
-        return self._diagonals[i]
+    @cached_property
+    def _wide(self) -> np.ndarray:
+        return self.delta + 4.0 * self.eigenvalues
 
-    @property
+    @cached_property
     def aux_var(self) -> np.ndarray:
-        return self._diagonal(0)
+        return self.eigenvalues * self.delta / self._narrow
 
-    @property
+    @cached_property
     def marginal_var(self) -> np.ndarray:
-        return self._diagonal(1)
+        return self.aux_var * self._wide / self._narrow
 
-    @property
+    @cached_property
     def ratio_weight(self) -> np.ndarray:
-        return self._diagonal(2)
+        return self._narrow / self._wide
 
-    @property
+    @cached_property
     def sqrt_aux_var(self) -> np.ndarray:
-        if self._sqrt_aux_var is None:
-            self._sqrt_aux_var = np.sqrt(self.aux_var)
-        return self._sqrt_aux_var
+        return np.sqrt(self.aux_var)
 
-    @property
+    @cached_property
     def sqrt_marginal_var(self) -> np.ndarray:
-        if self._sqrt_marginal_var is None:
-            self._sqrt_marginal_var = np.sqrt(self.marginal_var)
-        return self._sqrt_marginal_var
+        return np.sqrt(self.marginal_var)
 
 
 def build_delta_operators(prior: SpectralPrior, delta: float) -> DeltaOperators:

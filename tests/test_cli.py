@@ -161,6 +161,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert str(manifest_path) in err and "manifest.sigma2" in err
 
+    def test_a_malformed_dataset_entry_is_a_config_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("input,label\n0,0\n1,1.7\n2,1\n", encoding="utf-8")
+        config = tiny_run_config(tmp_path, model="binary", simulate=None, dataset={"path": str(data)})
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and "column 'label'" in err
+
 
 class TestTuneCommand:
     def test_prints_deltas_and_writes_csv(self, tmp_path, capsys):

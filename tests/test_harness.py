@@ -399,6 +399,31 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="does not exist"):
             load_dataset("cox", tmp_path / "nope.csv", kernel=None)
 
+    @pytest.mark.parametrize("model, text, likelihood, column, where, value", [
+        ("binary", "input,label\n0,0\n1,1.7\n2,1\n", {}, "column 'label'", "data row 2", "1.7"),
+        ("binary", "input,label\n0,0\n1,2\n2,1\n", {}, "column 'label'", "data row 2", "2"),
+        ("binary", "input,label\n0,-1\n1,0\n2,1\n", {}, "column 'label'", "data row 1", "-1"),
+        ("multiclass", "input,label\n0,0\n1,1.7\n2,2\n", {}, "column 'label'", "data row 2", "1.7"),
+        ("multiclass", "input,label\n0,0\n1,-1\n2,2\n", {}, "column 'label'", "data row 2", "-1"),
+        ("multiclass", "input,label\n0,0\n1,1\n2,3\n", {"classes": 3}, "column 'label'", "data row 3", "3"),
+        ("regression", "input,y\n0,1\n1,nan\n2,0.5\n", {"sigma2": 0.1}, "column 'y'", "data row 2", "nan"),
+        ("regression", "input,y\n0,1\nnan,0\n2,0.5\n", {"sigma2": 0.1}, "column 'input'", "data row 2", "nan"),
+        ("cox", "1,2\n1.5,0\n", {}, "the counts grid", "data row 2, column 1", "1.5"),
+        ("cox", "1,2\n0,nan\n", {}, "the counts grid", "data row 2, column 2", "nan"),
+        ("cox", "1,-2\n0,1\n", {}, "the counts grid", "data row 1, column 2", "-2"),
+    ], ids=["binary-fraction", "binary-2", "binary-negative", "multiclass-fraction", "multiclass-negative",
+            "multiclass-at-classes", "regression-nan-y", "regression-nan-input", "cox-fraction", "cox-nan",
+            "cox-negative"])
+    def test_a_malformed_entry_is_a_config_error_naming_file_column_and_row(
+        self, tmp_path, model, text, likelihood, column, where, value
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_dataset(model, path, kernel=None, likelihood=likelihood)
+        message = str(exc.value)
+        assert str(path) in message and column in message and f"{where} holds {value}" in message
+
     def test_resolve_dataset_from_simulate(self):
         config = validate_config(base_config())
         bundle = resolve_dataset(config)
@@ -420,7 +445,6 @@ class TestBenchmarkSingle:
         assert report.matvecs == 200 * MATVEC_BUDGET[SamplerKind.MGRAD]
         assert 0 < report.ess_min <= 200
         assert result.samples.shape == (200, 10)
-        assert result.tuned_delta == report.delta
 
     def test_stream_keyed_by_kernel(self):
         assert len(set(KIND_STREAM_INDEX.values())) == len(SamplerKind)
@@ -434,6 +458,22 @@ class TestRunBenchmark:
         assert first.digest == second.digest
         assert len(first.reports) == 4
         assert first.meta["setup_factorizations"] == 1
+
+    @pytest.mark.parametrize("case", ["joint theta", "cox file", "multiclass file"])
+    def test_summary_json_parses_and_carries_the_bundle_manifest(self, tmp_path, case):
+        if case == "joint theta":
+            raw = base_config(samplers=["agrad-z"], seeds=[0], hyper={"mode": "joint"})
+        else:
+            model = case.split()[0]
+            spec = {"side": 4, "seed": 2} if model == "cox" else {"n": 12, "classes": 3, "seed": 2}
+            paths = write_dataset(simulate_dataset(model, spec), tmp_path / "data")
+            raw = base_config(model=model, simulate=None, dataset={"path": str(paths["data"])}, samplers=["pcn"])
+        config = validate_config({**raw, "out": str(tmp_path / "out")})
+        result = run_benchmark(config)
+        payload = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert payload["meta"]["manifest"] == harness.resolve_dataset(config).manifest
+        assert payload["digest"] == result.digest and len(payload["reports"]) == len(result.reports)
+        assert all(report["error"] is None for report in payload["reports"])
 
     def test_jobs_run_in_the_calling_thread_only(self):
         with pytest.raises(ValueError, match="threads must be 1"):

@@ -274,14 +274,6 @@ class TestRunHyperChain:
         )
         assert 0.2 < result.latent_acceptance_rate < 0.9
 
-    def test_fixed_theta_mode(self):
-        model, target = self.make_args()
-        result = run_hyper_chain(
-            model, target, np.array([0.3]), np.random.default_rng(2),
-            mode="joint", burn_in=200, collect=50, latent_steps_per_move=None,
-        )
-        np.testing.assert_array_equal(result.theta_samples, np.full((50, 1), 0.3))
-
     def test_validation(self):
         model, target = self.make_args()
         with pytest.raises(ValueError, match="burn_in"):

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lgm.samplers import Chain
 from lgm.spectral import (
     NULL_REL_TOL,
     DeltaOperators,
     OpCounter,
     SpectralPrior,
+    TorusPrior,
     build_delta_operators,
     eigendecompose_covariance,
     from_spectral,
@@ -18,7 +20,7 @@ from lgm.spectral import (
     shrinkage_maps,
     to_spectral,
 )
-from lgm.targets import grid_exponential_kernel, squared_exponential_kernel
+from lgm.targets import GaussianRegression, GridKernel, grid_exponential_kernel, squared_exponential_kernel
 
 from conftest import full_basis_prior, make_singular_psd, make_spd, null_directions
 
@@ -255,6 +257,55 @@ class TestDeltaOperators:
         ops = build_delta_operators(eigendecompose_covariance(make_spd(5, rng)), 0.4)
         np.testing.assert_allclose(ops.sqrt_aux_var**2, ops.aux_var)
         np.testing.assert_allclose(ops.sqrt_marginal_var**2, ops.marginal_var)
+
+    @staticmethod
+    def dense_or_torus(kind, rng):
+        if kind == "dense":
+            return eigendecompose_covariance(make_spd(9, rng))
+        prior = eigendecompose_covariance(GridKernel(6, 1.91, 1.0 / 33.0, 6.0))
+        assert isinstance(prior, TorusPrior)
+        return prior
+
+    @pytest.mark.parametrize("kind", ["dense", "torus"])
+    @pytest.mark.parametrize("delta", [0.07, 1.0, 3.3])
+    def test_diagonals_and_roots_equal_the_closed_forms_bit_for_bit(self, rng, kind, delta):
+        prior = self.dense_or_torus(kind, rng)
+        gamma = prior.eigenvalues
+        ops = build_delta_operators(prior, delta)
+        aux = gamma * delta / (delta + 2.0 * gamma)
+        marginal = aux * (delta + 4.0 * gamma) / (delta + 2.0 * gamma)
+        np.testing.assert_array_equal(ops.aux_var, aux)
+        np.testing.assert_array_equal(ops.marginal_var, marginal)
+        np.testing.assert_array_equal(ops.ratio_weight, (delta + 2.0 * gamma) / (delta + 4.0 * gamma))
+        np.testing.assert_array_equal(ops.sqrt_aux_var, np.sqrt(aux))
+        np.testing.assert_array_equal(ops.sqrt_marginal_var, np.sqrt(marginal))
+
+    @pytest.mark.parametrize("kind", ["dense", "torus"])
+    def test_set_delta_rebuilds_the_mgrad_caches_bit_for_bit(self, rng, kind):
+        prior = self.dense_or_torus(kind, rng)
+        target = GaussianRegression(rng.standard_normal(prior.observed_dimension), 0.5)
+        chain = Chain("mgrad", prior, target, np.random.default_rng(3), delta=0.5)
+        chain.run(20)
+        for delta in (0.3, 2.0):
+            chain.set_delta(delta)
+            state, aux = chain.state, chain.ops.aux_var
+            np.testing.assert_array_equal(state.prop_mean_spec, aux * ((2.0 / delta) * state.ux + state.ugrad_x))
+            np.testing.assert_array_equal(
+                state.ratio_anchor_spec, aux * ((2.0 / delta) * state.ux + 0.5 * state.ugrad_x)
+            )
+
+    @pytest.mark.parametrize("kind, computed", [
+        ("pcn", set()), ("pcnl", set()), ("pmala", set()), ("agrad-z", {"aux_var", "sqrt_aux_var"}),
+        ("agrad-u", {"aux_var", "sqrt_aux_var"}),
+        ("mgrad", {"aux_var", "marginal_var", "ratio_weight", "sqrt_marginal_var"}),
+    ])
+    def test_a_kernel_computes_only_the_diagonals_it_reads(self, rng, kind, computed):
+        prior = eigendecompose_covariance(make_spd(6, rng))
+        chain = Chain(kind, prior, GaussianRegression(rng.standard_normal(6), 0.5), np.random.default_rng(4))
+        chain.set_delta(0.4)
+        chain.run(3)
+        diagonals = {"aux_var", "marginal_var", "ratio_weight", "sqrt_aux_var", "sqrt_marginal_var"}
+        assert diagonals & set(vars(chain.ops)) == computed
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf, np.nan])
     def test_invalid_delta_rejected(self, rng, delta):
