@@ -5,6 +5,9 @@ The controller drives the empirical acceptance rate toward a fixed target
 proposals) with diminishing updates c * t^{-0.6} * (accept - target).  After
 burn-in the step size never changes, so the collection phase is a fixed
 Markov kernel.
+
+``tune_and_freeze`` burns in every chain, fixed or theta, sweep by sweep
+(``Chain.sweep``), and one stuck rule covers both.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def adapt_step(adapt: AdaptState, accepted: bool) -> AdaptState:
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Outcome of a burn-in tuning run."""
+    """Outcome of a burn-in tuning run: delta and each sweep's share of accepted latent steps."""
 
     delta: float | None
     acceptance_trace: np.ndarray
@@ -89,33 +92,32 @@ class TuneResult:
 
 
 def tune_and_freeze(chain: Chain, burn_in: int, adapt: AdaptState | None = None) -> TuneResult:
-    """Run ``burn_in`` adapted transitions, freeze delta, return the history.
+    """Run ``burn_in`` adapted sweeps, freeze delta, return the history.
 
-    The elliptical slice kernel has no step size: its burn-in runs without
-    adaptation and the returned delta is None.  A chain whose acceptance is
-    stuck at 0 or 1 through the second half of burn-in is flagged with an
-    "untunable" warning; the run still proceeds.
+    delta adapts after every latent acceptance; a HyperChain also adapts its
+    kappa after every theta acceptance (``HyperChain.sweep``).  The
+    elliptical slice kernel has no step size: its burn-in runs without
+    adaptation and the returned delta is None.  A chain whose latent
+    acceptance is stuck at 0 or 1 through the second half of burn-in is
+    flagged with an "untunable" warning; the run still proceeds.
     """
     if burn_in < MIN_BURN_IN:
         raise ValueError(f"burn_in must be at least {MIN_BURN_IN}, got {burn_in!r}")
 
-    trace = np.zeros(burn_in, dtype=bool)
-    if chain.kind is SamplerKind.ELLIPT:
-        for t in range(burn_in):
-            trace[t] = chain.step().accepted
-        return TuneResult(delta=None, acceptance_trace=trace, warning=_stuck_warning(chain, trace))
+    tune = None
+    if chain.kind is not SamplerKind.ELLIPT:
+        if adapt is None:
+            adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=default_target_rate(chain.kind))
 
-    if adapt is None:
-        adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=default_target_rate(chain.kind))
-    for t in range(burn_in):
-        trace[t] = chain.step().accepted
-        adapt_step(adapt, trace[t])
-        new_delta = adapt.delta
-        if new_delta != chain.delta:
-            chain.set_delta(new_delta)
-    adapt.frozen = True
-    warning = _stuck_warning(chain, trace)
-    return TuneResult(delta=chain.delta, acceptance_trace=trace, warning=warning)
+        def tune(accepted: bool) -> None:
+            adapt_step(adapt, accepted)
+            if adapt.delta != chain.delta:
+                chain.set_delta(adapt.delta)
+
+    trace = np.array([chain.sweep(tune) for _ in range(burn_in)], dtype=float)
+    if tune is not None:
+        adapt.frozen = True
+    return TuneResult(delta=chain.delta, acceptance_trace=trace, warning=_stuck_warning(chain, trace))
 
 
 def _stuck_warning(chain: Chain, trace: np.ndarray) -> str | None:

@@ -34,8 +34,8 @@ from .hyper import (
     DEFAULT_LATENT_STEPS_PER_MOVE,
     DEFAULT_THETA_PRIOR_VARIANCE,
     GaussianHyperPrior,
+    HyperChain,
     HyperModel,
-    run_hyper_chain,
 )
 from .samplers import DISPLAY_NAMES, Chain, SamplerKind
 from .spectral import DensePrior, OpCounter, SpectralPrior, TorusPrior, eigendecompose_covariance
@@ -494,7 +494,8 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     is checked: inputs and regression targets must be finite, Cox counts
     nonnegative integers, binary labels 0 or 1, and multiclass labels
     integers in [0, classes).  A bad entry is a ConfigError naming the file,
-    the column and the entry's data row.
+    the column and the entry's data row; so are a counts file holding a
+    non-number and a header with no data rows.
     """
     path = Path(path)
     if not path.exists():
@@ -507,7 +508,10 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
 
     inputs = None
     if model == "cox":
-        observations = np.atleast_2d(np.loadtxt(path, delimiter=","))
+        try:
+            observations = np.atleast_2d(np.loadtxt(path, delimiter=","))
+        except ValueError as exc:
+            raise ConfigError(f"dataset file {path}: the counts grid must hold numbers; {exc}") from exc
         if observations.shape[0] != observations.shape[1]:
             raise ConfigError(f"cox counts file must be a square grid, got shape {observations.shape}")
         _refuse_entries(path, "the counts grid", observations, _is_count(observations), "nonnegative integers")
@@ -521,6 +525,8 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
             raise ConfigError(f"{model} dataset {path} must have a '{column}' column")
         inputs = np.atleast_1d(rows["input"])
         observations = np.atleast_1d(rows[column])
+        if inputs.size == 0:
+            raise ConfigError(f"dataset file {path} has a header but no data rows")
         _refuse_entries(path, "column 'input'", inputs, np.isfinite(inputs), "finite numbers")
         what = f"column '{column}'"
         if model == "regression":
@@ -645,11 +651,43 @@ def seeded_chain(
     prior: SpectralPrior,
     target: TargetModel,
     seed: int,
-    counter: OpCounter | None = None,
     x0: np.ndarray | None = None,
 ) -> Chain:
     """The chain of one (sampler, seed) run, its RNG stream keyed by (seed, kernel index)."""
-    return Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]), counter=counter, x0=x0)
+    return Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]), x0=x0)
+
+
+def _run_job(
+    chain: Chain, method: str, seed: int, burn_in: int, collect: int, thin: int, keep_samples: bool
+) -> SingleRunResult:
+    """Tune, reset the counters, collect and summarize one chain: the body of every job.
+
+    Operation counters and the acceptance rate cover the collection phase
+    only; factorizations stay at zero because the decomposition is shared
+    and precomputed.
+    """
+    t0 = time.perf_counter()
+    tune = tune_and_freeze(chain, burn_in)
+    burn_seconds = time.perf_counter() - t0
+
+    chain.reset_counters()
+    t0 = time.perf_counter()
+    samples = chain.sample(collect, thin=thin)
+    collect_seconds = time.perf_counter() - t0
+
+    report = summarize_run(
+        samples,
+        method=method,
+        seed=seed,
+        delta=chain.delta,
+        collect_seconds=collect_seconds,
+        burn_in_seconds=burn_seconds,
+        acceptance_rate=chain.state.acceptance_rate,
+        matvecs=chain.counter.matvecs,
+        factorizations=chain.counter.factorizations,
+        warning=tune.warning,
+    )
+    return SingleRunResult(report=report, samples=samples if keep_samples else None)
 
 
 def benchmark_single(
@@ -663,95 +701,48 @@ def benchmark_single(
     keep_samples: bool = True,
     x0: np.ndarray | None = None,
 ) -> SingleRunResult:
-    """Tune, collect, and summarize one (sampler, seed) run.
+    """Tune, collect, and summarize one (sampler, seed) run at fixed hyperparameters.
 
     The chain comes from ``seeded_chain``, so different kernels at the same
-    seed never share draws.  Operation counters cover the collection
-    phase only; factorizations stay at zero because the decomposition is
-    shared and precomputed.
+    seed never share draws.
     """
-    counter = OpCounter()
-    chain = seeded_chain(kind, prior, target, seed, counter=counter, x0=x0)
-
-    t0 = time.perf_counter()
-    tune = tune_and_freeze(chain, burn_in)
-    burn_seconds = time.perf_counter() - t0
-
-    counter.reset()
-    accept_before = chain.state.accept_count
-    steps_before = chain.state.step_count
-    t0 = time.perf_counter()
-    samples = chain.sample(collect, thin=thin)
-    collect_seconds = time.perf_counter() - t0
-    steps = chain.state.step_count - steps_before
-    acceptance = (chain.state.accept_count - accept_before) / steps if steps else 0.0
-
-    report = summarize_run(
-        samples,
-        method=DISPLAY_NAMES[kind],
-        seed=seed,
-        delta=chain.delta,
-        collect_seconds=collect_seconds,
-        burn_in_seconds=burn_seconds,
-        acceptance_rate=acceptance,
-        matvecs=counter.matvecs,
-        factorizations=counter.factorizations,
-        warning=tune.warning,
-    )
-    return SingleRunResult(report=report, samples=samples if keep_samples else None)
+    chain = seeded_chain(kind, prior, target, seed, x0=x0)
+    return _run_job(chain, DISPLAY_NAMES[kind], seed, burn_in, collect, thin, keep_samples)
 
 
-def _hyper_single(
-    config: ExperimentConfig,
-    target: TargetModel,
-    prior: SpectralPrior,
-    seed: int,
-    keep_samples: bool,
+def run_hyper_chain(
+    config: ExperimentConfig, target: TargetModel, prior: SpectralPrior, seed: int, keep_samples: bool
 ) -> SingleRunResult:
     """One hyperparameter-learning run: theta is the log-amplitude of the shared prior.
 
     The family is C(theta) = e^theta (C0 + jitter I), built on the
-    decomposition ``prior`` that every job of the benchmark shares.
+    decomposition ``prior`` that every job of the benchmark shares.  The
+    job body is the fixed runs' own; this adds kappa, the theta samples and
+    the theta report fields.
     """
     hyper_cfg = config.hyper
-    theta0 = np.asarray(hyper_cfg["theta0"], dtype=float)
     model = HyperModel(base=prior, prior=GaussianHyperPrior.diffuse(1, variance=hyper_cfg["prior_variance"]))
     rng = np.random.default_rng([seed, len(SamplerKind)])  # distinct from all fixed-kernel streams
-    result = run_hyper_chain(
+    chain = HyperChain(
         model,
         target,
-        theta0,
+        np.asarray(hyper_cfg["theta0"], dtype=float),
         rng,
         mode=config.hyper_mode,
-        burn_in=config.burn_in,
-        collect=config.collect,
-        latent_steps_per_move=config.r_steps,
         kappa=hyper_cfg["kappa"],
+        latent_steps_per_move=config.r_steps,
     )
-    report = summarize_run(
-        result.x_samples,
-        method=f"{DISPLAY_NAMES[SamplerKind.AGRAD_Z]} ({config.hyper_mode} θ)",
-        seed=seed,
-        delta=result.delta,
-        collect_seconds=result.collect_seconds,
-        burn_in_seconds=result.burn_in_seconds,
-        acceptance_rate=result.latent_acceptance_rate,
-        matvecs=result.counter.matvecs,
-        factorizations=result.counter.factorizations,
-        kappa=result.kappa,
-        warning="; ".join(result.warnings) or None,
-        extra={
-            "theta_mean": [float(v) for v in result.theta_samples.mean(axis=0)],
-            "theta_sd": [float(v) for v in result.theta_samples.std(axis=0, ddof=1)],
-            "theta_ess": ess_geyer(result.theta_samples[:, 0]),
-            "theta_acceptance_rate": result.theta_acceptance_rate,
-        },
-    )
-    return SingleRunResult(
-        report=report,
-        samples=result.x_samples if keep_samples else None,
-        theta_samples=result.theta_samples if keep_samples else None,
-    )
+    method = f"{DISPLAY_NAMES[SamplerKind.AGRAD_Z]} ({config.hyper_mode} θ)"
+    single = _run_job(chain, method, seed, config.burn_in, config.collect, config.thin, keep_samples)
+    theta = chain.theta_samples
+    extra = {
+        "theta_mean": [float(v) for v in theta.mean(axis=0)],
+        "theta_sd": [float(v) for v in theta.std(axis=0, ddof=1)],
+        "theta_ess": ess_geyer(theta[:, 0]),
+        "theta_acceptance_rate": chain.theta_acceptance_rate,
+    }
+    report = replace(single.report, kappa=chain.kappa, extra=extra)
+    return replace(single, report=report, theta_samples=theta if keep_samples else None)
 
 
 @dataclass
@@ -805,7 +796,7 @@ def run_benchmark(
                         kind, prior, bundle.target, seed, config.burn_in, config.collect, config.thin, keep_samples
                     )
                 else:
-                    single = _hyper_single(config, bundle.target, prior, seed, keep_samples)
+                    single = run_hyper_chain(config, bundle.target, prior, seed, keep_samples)
             except Exception as exc:  # isolate run failures
                 logger.exception("run (%s, seed %s) failed", kind.value, seed)
                 single = SingleRunResult(report=_failure_report(DISPLAY_NAMES[kind], seed, exc))

@@ -25,6 +25,11 @@ gradient step bit for bit on a shared random stream.
 A proposed theta costs no eigendecomposition: a joint move costs three
 matvecs and a Gibbs move one, plus one for its support check when the
 prior has null directions.
+
+A ``HyperChain`` runs through the fixed chains' loops: its sweep is R latent
+steps followed by one theta move, ``adaptation.tune_and_freeze`` burns it
+in (delta on the latent acceptances, kappa on the theta ones) and
+``Chain.sample`` records one (theta, x) sample per sweep.
 """
 
 from __future__ import annotations
@@ -32,18 +37,12 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import (
-    BASELINE_TARGET_RATE,
-    GRADIENT_TARGET_RATE,
-    MIN_BURN_IN,
-    AdaptState,
-    adapt_step,
-)
+from .adaptation import BASELINE_TARGET_RATE, AdaptState, adapt_step
 from .samplers import (
     Chain,
     SamplerKind,
@@ -202,10 +201,11 @@ class HyperChain(Chain):
     """An agrad-z ``Chain`` over (x, theta): fixed-theta latent steps plus theta moves.
 
     ``mode`` selects how theta moves: "joint" proposes (x, theta) together,
-    "gibbs" updates theta alone between latent sweeps.  ``kappa`` is the
+    "gibbs" updates theta alone between latent steps.  ``kappa`` is the
     theta random-walk variance; zero disables theta moves (the chain then
     matches a fixed-covariance latent chain exactly).  A theta move that is
     accepted swaps ``prior`` and ``ops`` for those of the new covariance.
+    One sweep is ``latent_steps_per_move`` (R) latent steps and one theta move.
     """
 
     def __init__(
@@ -217,14 +217,22 @@ class HyperChain(Chain):
         mode: str = "joint",
         delta: float = 1.0,
         kappa: float = 0.25,
+        latent_steps_per_move: int = DEFAULT_LATENT_STEPS_PER_MOVE,
     ):
         if mode not in ("joint", "gibbs"):
             raise ValueError(f"mode must be 'joint' or 'gibbs', got {mode!r}")
         if kappa < 0 or not np.isfinite(kappa):
             raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
+        if latent_steps_per_move < 1:
+            raise ValueError(f"latent_steps_per_move must be at least 1, got {latent_steps_per_move!r}")
         self.model = model
         self.mode = mode
         self.kappa = float(kappa)
+        self.latent_steps_per_move = latent_steps_per_move
+        # kappa's burn-in controller; kappa = 0 keeps theta fixed and adapts nothing
+        self.kappa_adapt = (
+            AdaptState(log_delta=math.log(self.kappa), target_rate=BASELINE_TARGET_RATE) if self.kappa > 0.0 else None
+        )
         self.theta = np.atleast_1d(np.array(theta0, dtype=float, copy=True))
         if self.theta.shape != self.model.prior.mean.shape:
             raise ValueError(
@@ -233,10 +241,42 @@ class HyperChain(Chain):
         super().__init__(SamplerKind.AGRAD_Z, model.covariance(self.theta), target, rng, delta)
         self.theta_accept_count = 0
         self.theta_step_count = 0
+        self.theta_samples = np.empty((0, self.theta.shape[0]))
 
     @property
     def theta_acceptance_rate(self) -> float:
         return self.theta_accept_count / self.theta_step_count if self.theta_step_count else 0.0
+
+    def sweep(self, tune: Callable[[bool], None] | None = None) -> float:
+        """R latent steps, then one theta move; returns the share of latent steps accepted.
+
+        ``tune``, passed during burn-in, receives each latent acceptance, and
+        the theta move's acceptance then adapts kappa toward 0.25.
+        """
+        accepted = 0
+        for _ in range(self.latent_steps_per_move):
+            latent = self.latent_step()
+            accepted += latent
+            if tune is not None:
+                tune(latent)
+        theta_accepted = self.theta_step().accepted
+        if tune is not None and self.kappa_adapt is not None:
+            adapt_step(self.kappa_adapt, theta_accepted)
+            self.kappa = self.kappa_adapt.delta
+        return accepted / self.latent_steps_per_move
+
+    def reset_counters(self) -> None:
+        super().reset_counters()
+        self.theta_accept_count = self.theta_step_count = 0
+
+    def sample(self, n_samples: int, thin: int = 1) -> np.ndarray:
+        """``Chain.sample``'s x samples; the theta of the same sweeps goes to ``theta_samples``."""
+        self.theta_samples = np.empty((n_samples, self.theta.shape[0]))
+        return super().sample(n_samples, thin)
+
+    def record(self, out: np.ndarray, i: int) -> None:
+        super().record(out, i)
+        self.theta_samples[i] = self.theta
 
     def latent_step(self) -> bool:
         """One fixed-theta auxiliary gradient transition.
@@ -248,9 +288,11 @@ class HyperChain(Chain):
         return step_agrad_z(self.state, self.prior, self.ops, self.target, self.rng).accepted
 
     def theta_step(self) -> ThetaStepResult:
-        if self.mode == "joint":
-            return step_joint_x_theta(self)
-        return step_gibbs_theta(self)
+        """One theta move of the chain's mode, counted in ``theta_acceptance_rate``."""
+        result = step_joint_x_theta(self) if self.mode == "joint" else step_gibbs_theta(self)
+        self.theta_step_count += 1
+        self.theta_accept_count += result.accepted
+        return result
 
 
 def _propose_theta(chain: HyperChain) -> tuple[np.ndarray, SpectralPrior | None, DeltaOperators | None]:
@@ -287,7 +329,6 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
     theta_prop, new_prior, new_ops = _propose_theta(chain)
     if new_prior is None:
         state.step_count += 1
-        chain.theta_step_count += 1
         return ThetaStepResult(False, theta_prop, -math.inf)
     y, f_y, grad_y, latent_ratio = propose_given_noised_gradient_aux(state, new_prior, new_ops, chain.target, rng, z)
     theta_ratio = 0.0
@@ -303,8 +344,6 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
     result = metropolis_step(state, new_prior, chain.target, rng, y, f_y, grad_y, latent_ratio + theta_ratio)
     if result.accepted:
         chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
-        chain.theta_accept_count += 1
-    chain.theta_step_count += 1
     return ThetaStepResult(result.accepted, theta_prop, theta_ratio)
 
 
@@ -319,7 +358,6 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
     """
     theta_prop, new_prior, new_ops = _propose_theta(chain)
     if new_prior is None:
-        chain.theta_step_count += 1
         return ThetaStepResult(False, theta_prop, -math.inf)
     theta_ratio = 0.0
     if chain.kappa > 0.0:
@@ -333,108 +371,4 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
     accepted = mh_accept(theta_ratio, chain.rng)
     if accepted:
         chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
-        chain.theta_accept_count += 1
-    chain.theta_step_count += 1
     return ThetaStepResult(accepted, theta_prop, theta_ratio)
-
-
-@dataclass
-class HyperRunResult:
-    """Samples and tuning outcome of a hyperparameter-learning run."""
-
-    theta_samples: np.ndarray
-    x_samples: np.ndarray
-    delta: float
-    kappa: float
-    latent_acceptance_rate: float
-    theta_acceptance_rate: float
-    counter: OpCounter
-    burn_in_seconds: float
-    collect_seconds: float
-    warnings: list[str] = field(default_factory=list)
-
-
-def run_hyper_chain(
-    model: HyperModel,
-    target: TargetModel,
-    theta0: np.ndarray,
-    rng: np.random.Generator,
-    mode: str = "joint",
-    burn_in: int = 2000,
-    collect: int = 2000,
-    latent_steps_per_move: int = DEFAULT_LATENT_STEPS_PER_MOVE,
-    kappa: float = 0.25,
-) -> HyperRunResult:
-    """Run a hyperparameter-learning chain and return (theta, x) samples.
-
-    One sweep is ``latent_steps_per_move`` fixed-theta latent transitions
-    followed by one theta move; kappa = 0 keeps theta fixed.  ``burn_in``
-    and ``collect`` count sweeps; one (theta, x) sample is recorded per
-    collected sweep.  The chain starts at x = 0 with delta = 1.  During
-    burn-in, delta adapts on the latent acceptances toward 0.55 and kappa on
-    the theta-move acceptances toward 0.25; both stay fixed afterwards.  The
-    result carries the wall seconds of each phase, and its counter covers
-    the collect phase only, like ``harness.benchmark_single``.
-    """
-    if burn_in < MIN_BURN_IN:
-        raise ValueError(f"burn_in must be at least {MIN_BURN_IN}, got {burn_in!r}")
-    if collect < 1:
-        raise ValueError(f"collect must be at least 1, got {collect!r}")
-    if latent_steps_per_move < 0:
-        raise ValueError(f"latent_steps_per_move must be nonnegative, got {latent_steps_per_move!r}")
-
-    chain = HyperChain(model, target, theta0, rng, mode=mode, kappa=kappa)
-    delta_ctl = AdaptState(log_delta=math.log(chain.delta), target_rate=GRADIENT_TARGET_RATE)
-    kappa_ctl = (
-        AdaptState(log_delta=math.log(chain.kappa), target_rate=BASELINE_TARGET_RATE)
-        if chain.kappa > 0.0
-        else None
-    )
-
-    def sweep(adapting: bool) -> None:
-        for _ in range(latent_steps_per_move):
-            accepted = chain.latent_step()
-            if adapting:
-                adapt_step(delta_ctl, accepted)
-                if delta_ctl.delta != chain.delta:
-                    chain.set_delta(delta_ctl.delta)
-        result = chain.theta_step()
-        if adapting and kappa_ctl is not None:
-            adapt_step(kappa_ctl, result.accepted)
-            chain.kappa = kappa_ctl.delta
-
-    t0 = time.perf_counter()
-    for _ in range(burn_in):
-        sweep(adapting=True)
-    burn_in_seconds = time.perf_counter() - t0
-
-    theta_samples = np.empty((collect, chain.theta.shape[0]))
-    x_samples = np.empty((collect, chain.prior.dimension))
-    chain.state.accept_count = 0
-    chain.state.step_count = 0
-    chain.theta_accept_count = 0
-    chain.theta_step_count = 0
-    chain.counter.reset()
-    t0 = time.perf_counter()
-    for t in range(collect):
-        sweep(adapting=False)
-        theta_samples[t] = chain.theta
-        x_samples[t] = chain.state.x
-    collect_seconds = time.perf_counter() - t0
-
-    run_warnings: list[str] = []
-    rate = chain.state.acceptance_rate
-    if chain.state.step_count and (rate == 0.0 or rate == 1.0):
-        run_warnings.append(f"latent acceptance stuck at {rate:.0f} during collection")
-    return HyperRunResult(
-        theta_samples=theta_samples,
-        x_samples=x_samples,
-        delta=chain.delta,
-        kappa=chain.kappa,
-        latent_acceptance_rate=rate,
-        theta_acceptance_rate=chain.theta_acceptance_rate,
-        counter=chain.counter,
-        burn_in_seconds=burn_in_seconds,
-        collect_seconds=collect_seconds,
-        warnings=run_warnings,
-    )

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -569,7 +570,9 @@ class Chain:
     ``delta`` defaults per kernel (1.0 for the auxiliary/marginal gradient
     kernels, 0.01 for the small-step baselines); the elliptical slice kernel
     has no step size.  ``set_delta`` rebuilds the O(n) diagonal operators and
-    mGrad's two cached vectors without touching the basis.
+    mGrad's two cached vectors without touching the basis.  A run advances
+    by ``sweep``: ``adaptation.tune_and_freeze`` burns it in and ``sample``
+    collects, for this chain and for ``hyper.HyperChain`` alike.
     """
 
     def __init__(
@@ -621,6 +624,13 @@ class Chain:
     def step(self) -> StepResult:
         return _STEP_FUNCS[self.kind](self.state, self.prior, self.ops, self.target, self.rng)
 
+    def sweep(self, tune: Callable[[bool], None] | None = None) -> float:
+        """One transition, its acceptance passed to ``tune`` during burn-in; returns it as 0 or 1."""
+        accepted = self.step().accepted
+        if tune is not None:
+            tune(accepted)
+        return accepted
+
     def run(self, n_steps: int) -> int:
         """Advance n_steps transitions; return the number accepted."""
         accepted = 0
@@ -628,18 +638,22 @@ class Chain:
             accepted += self.step().accepted
         return accepted
 
-    def sample(self, n_samples: int, thin: int = 1) -> np.ndarray:
-        """Collect n_samples states, keeping every ``thin``-th transition.
+    def reset_counters(self) -> None:
+        """Zero the acceptance and step counts and the operation counter, as a collect phase starts."""
+        self.state.accept_count = self.state.step_count = 0
+        self.counter.reset()
 
-        Only the prior's observed cells are recorded (all of x for a dense
-        prior), so a padded field never fills a buffer.
-        """
+    def sample(self, n_samples: int, thin: int = 1) -> np.ndarray:
+        """Collect n_samples states, one after every ``thin`` sweeps, each stored by ``record``."""
         if thin < 1:
             raise ValueError(f"thin must be at least 1, got {thin!r}")
-        observed = self.prior.observed
         out = np.empty((n_samples, self.prior.observed_dimension))
         for i in range(n_samples):
             for _ in range(thin):
-                self.step()
-            out[i] = observed(self.state.x)
+                self.sweep()
+            self.record(out, i)
         return out
+
+    def record(self, out: np.ndarray, i: int) -> None:
+        """Row i of ``out`` gets the prior's observed cells of x, so a padded field never fills a buffer."""
+        out[i] = self.prior.observed(self.state.x)

@@ -17,7 +17,7 @@ import pytest
 from lgm.adaptation import AdaptState, tune_and_freeze
 from lgm.diagnostics import ess_geyer
 from lgm.harness import KIND_STREAM_INDEX, benchmark_single, down_sample_cox, simulate_dataset
-from lgm.hyper import GaussianHyperPrior, HyperChain, HyperModel, run_hyper_chain
+from lgm.hyper import GaussianHyperPrior, HyperChain, HyperModel
 from lgm.oracle import (
     asymptotic_variance,
     battery_functions,
@@ -378,17 +378,12 @@ def test_10_hyperparameter_posterior_recovery():
     for mode_index, mode in enumerate(("joint", "gibbs")):
         means, variances = [], []
         for rep in range(2):
-            run = run_hyper_chain(
-                model,
-                target,
-                theta0=np.zeros(1),
-                rng=np.random.default_rng([2026, mode_index, rep]),
-                mode=mode,
-                burn_in=4000,
-                collect=40_000,
-                kappa=0.5,
+            chain = HyperChain(
+                model, target, np.zeros(1), np.random.default_rng([2026, mode_index, rep]), mode=mode, kappa=0.5
             )
-            series = run.theta_samples[:, 0]
+            tune_and_freeze(chain, 4000)
+            chain.sample(40_000)
+            series = chain.theta_samples[:, 0]
             means.append(series.mean())
             variances.append(series.var() / ess_geyer(series))
         pooled = float(np.mean(means))

@@ -169,6 +169,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert str(data) in err and "column 'label'" in err
 
+    def test_a_counts_file_holding_a_non_number_is_a_config_error(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("1,2\nabc,4\n", encoding="utf-8")
+        config = tiny_run_config(tmp_path, model="cox", simulate=None, dataset={"path": str(data)})
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and "the counts grid must hold numbers" in err
+
 
 class TestTuneCommand:
     def test_prints_deltas_and_writes_csv(self, tmp_path, capsys):

@@ -30,9 +30,19 @@ from lgm.harness import (
 )
 from lgm.samplers import DISPLAY_NAMES, MATVEC_BUDGET, Chain, SamplerKind
 from lgm.spectral import TorusPrior, eigendecompose_covariance
-from lgm.targets import GaussianRegression, PoissonCounts, squared_exponential_kernel
+from lgm.targets import GaussianRegression, PoissonCounts, TargetModel, squared_exponential_kernel
 
 from conftest import make_spd
+
+
+class NanGradientTarget(TargetModel):
+    """f identically zero with a NaN gradient: every gradient proposal is rejected."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+
+    def evaluate(self, x):
+        return 0.0, np.full_like(x, np.nan)
 
 
 def base_config(**overrides):
@@ -424,6 +434,21 @@ class TestDatasetIO:
         message = str(exc.value)
         assert str(path) in message and column in message and f"{where} holds {value}" in message
 
+    @pytest.mark.parametrize("model, text, likelihood, fragment", [
+        ("cox", "1,2\nabc,4\n", {}, "the counts grid must hold numbers"),
+        ("binary", "input,label\n", {}, "has a header but no data rows"),
+        ("multiclass", "input,label\n", {}, "has a header but no data rows"),
+        ("regression", "input,y\n", {"sigma2": 0.1}, "has a header but no data rows"),
+    ], ids=["cox-not-a-number", "binary-no-rows", "multiclass-no-rows", "regression-no-rows"])
+    def test_a_non_number_or_no_data_rows_is_a_config_error_naming_the_file(
+        self, tmp_path, model, text, likelihood, fragment
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_dataset(model, path, kernel=None, likelihood=likelihood)
+        assert str(path) in str(exc.value) and fragment in str(exc.value)
+
     def test_resolve_dataset_from_simulate(self):
         config = validate_config(base_config())
         bundle = resolve_dataset(config)
@@ -445,6 +470,17 @@ class TestBenchmarkSingle:
         assert report.matvecs == 200 * MATVEC_BUDGET[SamplerKind.MGRAD]
         assert 0 < report.ess_min <= 200
         assert result.samples.shape == (200, 10)
+
+    @pytest.mark.parametrize("mode", ["joint", "gibbs"])
+    def test_a_stuck_theta_run_reports_the_fixed_chains_burn_in_warning(self, mode):
+        # grad f is NaN everywhere, so every latent proposal is rejected
+        prior = eigendecompose_covariance(make_spd(6, np.random.default_rng(9)))
+        target = NanGradientTarget(6)
+        config = validate_config(base_config(samplers=["agrad-z"], burn_in=200, collect=150, R=2, hyper={"mode": mode}))
+        theta_run = harness.run_hyper_chain(config, target, prior, seed=0, keep_samples=False)
+        fixed_run = benchmark_single(SamplerKind.AGRAD_Z, prior, target, seed=0, burn_in=200, collect=150)
+        expected = "untunable: agrad-z acceptance stuck at 0 through the second half of burn-in"
+        assert theta_run.report.warning == fixed_run.report.warning == expected
 
     def test_stream_keyed_by_kernel(self):
         assert len(set(KIND_STREAM_INDEX.values())) == len(SamplerKind)

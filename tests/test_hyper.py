@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lgm.adaptation import tune_and_freeze
 from lgm.hyper import (
     GaussianHyperPrior,
     HyperChain,
     HyperModel,
     log_evidence,
     prior_state_logpdf,
-    run_hyper_chain,
 )
 from lgm.oracle import dense_gaussian_logpdf
 from lgm.samplers import Chain, SamplerKind
@@ -102,6 +102,8 @@ class TestHyperChain:
             HyperChain(model, target, np.zeros(1), rng, kappa=-1.0)
         with pytest.raises(ValueError, match="shape"):
             HyperChain(model, target, np.zeros(2), rng)
+        with pytest.raises(ValueError, match="latent_steps_per_move"):
+            HyperChain(model, target, np.zeros(1), rng, latent_steps_per_move=0)
 
     def test_target_dimension_must_match_the_prior(self, rng):
         model, _ = self.make_setup(n=5)
@@ -246,7 +248,9 @@ class TestHyperChain:
         assert 0 < chain.theta_acceptance_rate < 1
 
 
-class TestRunHyperChain:
+class TestHyperChainDriver:
+    """A HyperChain run the way a fixed chain runs: tune_and_freeze, then sample."""
+
     def make_args(self, seed=31):
         gen = np.random.default_rng(seed)
         base_cov = make_spd(5, gen, spread=2.0)
@@ -256,27 +260,25 @@ class TestRunHyperChain:
     @pytest.mark.parametrize("mode", ["joint", "gibbs"])
     def test_output_shapes(self, mode):
         model, target = self.make_args()
-        result = run_hyper_chain(
-            model, target, np.zeros(1), np.random.default_rng(0),
-            mode=mode, burn_in=300, collect=200, latent_steps_per_move=3,
-        )
-        assert result.theta_samples.shape == (200, 1)
-        assert result.x_samples.shape == (200, 5)
-        assert result.delta > 0
-        assert 0 <= result.theta_acceptance_rate <= 1
-        assert result.theta_samples.std() > 0
+        chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(0), mode=mode, latent_steps_per_move=3)
+        tune_and_freeze(chain, 300)
+        chain.reset_counters()
+        x_samples = chain.sample(200)
+        assert chain.theta_samples.shape == (200, 1)
+        assert x_samples.shape == (200, 5)
+        assert chain.delta > 0
+        assert 0 <= chain.theta_acceptance_rate <= 1
+        assert chain.theta_samples.std() > 0
 
     def test_adaptation_freezes_after_burn_in(self):
         model, target = self.make_args()
-        result = run_hyper_chain(
-            model, target, np.zeros(1), np.random.default_rng(1),
-            mode="joint", burn_in=500, collect=100,
-        )
-        assert 0.2 < result.latent_acceptance_rate < 0.9
+        chain = HyperChain(model, target, np.zeros(1), np.random.default_rng(1), mode="joint")
+        tune_and_freeze(chain, 500)
+        chain.reset_counters()
+        chain.sample(100)
+        assert 0.2 < chain.state.acceptance_rate < 0.9
 
     def test_validation(self):
         model, target = self.make_args()
         with pytest.raises(ValueError, match="burn_in"):
-            run_hyper_chain(model, target, np.zeros(1), np.random.default_rng(0), burn_in=10, collect=10)
-        with pytest.raises(ValueError, match="collect"):
-            run_hyper_chain(model, target, np.zeros(1), np.random.default_rng(0), burn_in=200, collect=0)
+            tune_and_freeze(HyperChain(model, target, np.zeros(1), np.random.default_rng(0)), 10)
