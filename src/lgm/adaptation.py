@@ -86,10 +86,6 @@ class TuneResult:
     acceptance_trace: np.ndarray
     warning: str | None = None
 
-    @property
-    def acceptance_rate(self) -> float:
-        return float(self.acceptance_trace.mean()) if self.acceptance_trace.size else 0.0
-
 
 def tune_and_freeze(chain: Chain, burn_in: int, adapt: AdaptState | None = None) -> TuneResult:
     """Run ``burn_in`` adapted sweeps, freeze delta, return the history.

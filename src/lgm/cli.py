@@ -1,13 +1,12 @@
-"""Command-line surface: run benchmarks, simulate data, tune, validate.
+"""Command-line surface: run benchmarks, simulate data, validate, downsample.
 
     lgm run <config.json>         execute a benchmark config
     lgm simulate <spec.json>      draw a synthetic dataset to CSV + manifest
-    lgm tune <config.json>        burn-in tuning only (fixed-hyperparameter configs)
     lgm validate                  brute-force oracle suite; nonzero exit on failure
     lgm downsample <counts.csv>   merge 2x2 grid cells of a Cox counts file
 
 Flags, registered only on the subcommands that read them: --seed (override
-the config's seeds or the spec's seed; run, tune, simulate), --out (output
+the config's seeds or the spec's seed; run, simulate), --out (output
 directory; all), --trace (persist thinned sample traces; run).  ``lgm run``
 executes its (sampler, seed) jobs one after another in this process.
 """
@@ -24,18 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import tune_and_freeze
 from .harness import (
     ConfigError,
+    _read_counts,
     _read_manifest,
     check_seed,
-    dataset_and_prior,
     down_sample_cox,
     format_summary_table,
     parse_config,
     read_spec_file,
     run_benchmark,
-    seeded_chain,
     simulate_dataset,
     validate_simulate_spec,
     write_dataset,
@@ -53,7 +50,6 @@ FLAGS = {
 COMMANDS = (
     ("run", "config", "execute a benchmark config", ("--seed", "--out", "--trace")),
     ("simulate", "spec", "draw a synthetic dataset", ("--seed", "--out")),
-    ("tune", "config", "burn-in tuning only", ("--seed", "--out")),
     ("validate", None, "run the brute-force validation suite", ("--out",)),
     ("downsample", "counts", "2x2-merge a Cox counts grid", ("--out",)),
 )
@@ -84,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _load_config(args: argparse.Namespace):
+def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -93,11 +89,6 @@ def _load_config(args: argparse.Namespace):
         overrides["out"] = args.out
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    return config
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
     result = run_benchmark(config, keep_samples=args.trace)
     print(format_summary_table(result.summary_rows))
     failures = [r for r in result.reports if r.error is not None]
@@ -121,40 +112,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if config.hyper_mode != "fixed":
-        raise ConfigError(
-            f"lgm tune tunes fixed-hyperparameter chains, but config.hyper.mode is {config.hyper_mode!r}; "
-            "a theta run tunes delta inside its own sweeps"
-        )
-    bundle, prior = dataset_and_prior(config)
-    rows = []
-    for kind in config.samplers:
-        for seed in config.seeds:
-            chain = seeded_chain(kind, prior, bundle.target, seed)
-            tune = tune_and_freeze(chain, config.burn_in)
-            rows.append(
-                {
-                    "method": kind.value,
-                    "seed": seed,
-                    "delta": "" if tune.delta is None else repr(tune.delta),
-                    "acceptance_rate": repr(tune.acceptance_rate),
-                    "warning": tune.warning or "",
-                }
-            )
-            print(f"{kind.value:8s} seed {seed}: delta={tune.delta}, acceptance={tune.acceptance_rate:.3f}")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "tuning.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=["method", "seed", "delta", "acceptance_rate", "warning"])
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"tuning table written to {path}")
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     checks = run_validation_suite()
     failures = 0
@@ -175,8 +132,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_downsample(args: argparse.Namespace) -> int:
-    counts = np.atleast_2d(np.loadtxt(args.counts, delimiter=","))
-    merged = down_sample_cox(counts)
+    merged = down_sample_cox(_read_counts(args.counts))
     manifest_path = args.counts.with_suffix(".manifest.json")
     manifest = _read_manifest(manifest_path, "cox") if manifest_path.exists() else None
     out_dir = args.out or args.counts.parent
@@ -203,7 +159,6 @@ def _cmd_downsample(args: argparse.Namespace) -> int:
 COMMAND_FUNCS = {
     "run": _cmd_run,
     "simulate": _cmd_simulate,
-    "tune": _cmd_tune,
     "validate": _cmd_validate,
     "downsample": _cmd_downsample,
 }

@@ -9,6 +9,7 @@ ESS = T / (-1 + 2 * sum Gamma_m), clipped to [1, T].
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -89,22 +90,26 @@ def ess_geyer(series: np.ndarray) -> float:
 
 @dataclass
 class RunReport:
-    """Everything reported about one (sampler, seed) benchmark run."""
+    """Everything reported about one (sampler, seed) benchmark run.
+
+    The defaults are a failed run's values: a failure report gives only its
+    method, seed and error.
+    """
 
     method: str
     seed: int
-    delta: float | None
-    kappa: float | None
-    collect_seconds: float
-    burn_in_seconds: float
-    ess_min: float
-    ess_median: float
-    ess_max: float
-    acceptance_rate: float
-    matvecs: int
-    factorizations: int
-    n_samples: int
-    dimension: int
+    delta: float | None = None
+    kappa: float | None = None
+    collect_seconds: float = 0.0
+    burn_in_seconds: float = 0.0
+    ess_min: float = math.nan
+    ess_median: float = math.nan
+    ess_max: float = math.nan
+    acceptance_rate: float = math.nan
+    matvecs: int = 0
+    factorizations: int = 0
+    n_samples: int = 0
+    dimension: int = 0
     degenerate_coords: int = 0
     warning: str | None = None
     error: str | None = None
@@ -131,21 +136,8 @@ class RunReport:
         return out
 
 
-def summarize_run(
-    samples: np.ndarray,
-    method: str,
-    seed: int,
-    delta: float | None,
-    collect_seconds: float,
-    burn_in_seconds: float,
-    acceptance_rate: float,
-    matvecs: int,
-    factorizations: int,
-    kappa: float | None = None,
-    warning: str | None = None,
-    extra: dict | None = None,
-) -> RunReport:
-    """Per-coordinate ESS of a T x n sample matrix folded into a RunReport."""
+def summarize_run(samples: np.ndarray, **fields) -> RunReport:
+    """Per-coordinate ESS of a T x n sample matrix, in a RunReport with the other ``fields`` given."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"samples must be T x n, got shape {samples.shape}")
@@ -160,23 +152,13 @@ def summarize_run(
         else:
             ess[i] = ess_geyer(column)
     return RunReport(
-        method=method,
-        seed=seed,
-        delta=delta,
-        kappa=kappa,
-        collect_seconds=collect_seconds,
-        burn_in_seconds=burn_in_seconds,
         ess_min=float(ess.min()),
         ess_median=float(np.median(ess)),
         ess_max=float(ess.max()),
-        acceptance_rate=acceptance_rate,
-        matvecs=matvecs,
-        factorizations=factorizations,
         n_samples=t,
         dimension=n,
         degenerate_coords=degenerate,
-        warning=warning,
-        extra=extra or {},
+        **fields,
     )
 
 

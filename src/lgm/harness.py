@@ -508,13 +508,7 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
 
     inputs = None
     if model == "cox":
-        try:
-            observations = np.atleast_2d(np.loadtxt(path, delimiter=","))
-        except ValueError as exc:
-            raise ConfigError(f"dataset file {path}: the counts grid must hold numbers; {exc}") from exc
-        if observations.shape[0] != observations.shape[1]:
-            raise ConfigError(f"cox counts file must be a square grid, got shape {observations.shape}")
-        _refuse_entries(path, "the counts grid", observations, _is_count(observations), "nonnegative integers")
+        observations = _read_counts(path)
         cells = observations.size
     else:
         rows = np.genfromtxt(path, delimiter=",", names=True)
@@ -561,6 +555,18 @@ def load_dataset(model: str, path: str | Path, kernel: dict | None, likelihood: 
     else:
         target = CategoricalSoftmax(observations, n_classes=classes)
     return DatasetBundle(model, target, cov, meta, inputs=inputs, observations=observations, grid=grid)
+
+
+def _read_counts(path: Path) -> np.ndarray:
+    """A Cox counts file: a square grid of nonnegative integers, or a ConfigError naming the file."""
+    try:
+        counts = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    except ValueError as exc:
+        raise ConfigError(f"dataset file {path}: the counts grid must hold numbers; {exc}") from exc
+    if counts.shape[0] != counts.shape[1]:
+        raise ConfigError(f"dataset file {path}: the counts grid must be square, got shape {counts.shape}")
+    _refuse_entries(path, "the counts grid", counts, _is_count(counts), "nonnegative integers")
+    return counts
 
 
 def _is_count(values: np.ndarray) -> np.ndarray:
@@ -646,17 +652,6 @@ class SingleRunResult:
     theta_samples: np.ndarray | None = None
 
 
-def seeded_chain(
-    kind: SamplerKind,
-    prior: SpectralPrior,
-    target: TargetModel,
-    seed: int,
-    x0: np.ndarray | None = None,
-) -> Chain:
-    """The chain of one (sampler, seed) run, its RNG stream keyed by (seed, kernel index)."""
-    return Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]), x0=x0)
-
-
 def _run_job(
     chain: Chain, method: str, seed: int, burn_in: int, collect: int, thin: int, keep_samples: bool
 ) -> SingleRunResult:
@@ -703,10 +698,10 @@ def benchmark_single(
 ) -> SingleRunResult:
     """Tune, collect, and summarize one (sampler, seed) run at fixed hyperparameters.
 
-    The chain comes from ``seeded_chain``, so different kernels at the same
-    seed never share draws.
+    The chain's RNG stream is keyed by (seed, kernel index), so different
+    kernels at the same seed never share draws.
     """
-    chain = seeded_chain(kind, prior, target, seed, x0=x0)
+    chain = Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]), x0=x0)
     return _run_job(chain, DISPLAY_NAMES[kind], seed, burn_in, collect, thin, keep_samples)
 
 
@@ -799,7 +794,8 @@ def run_benchmark(
                     single = run_hyper_chain(config, bundle.target, prior, seed, keep_samples)
             except Exception as exc:  # isolate run failures
                 logger.exception("run (%s, seed %s) failed", kind.value, seed)
-                single = SingleRunResult(report=_failure_report(DISPLAY_NAMES[kind], seed, exc))
+                error = f"{type(exc).__name__}: {exc}"
+                single = SingleRunResult(report=RunReport(method=DISPLAY_NAMES[kind], seed=seed, error=error))
             reports.append(single.report)
             runs[DISPLAY_NAMES[kind], seed] = single
 
@@ -864,26 +860,6 @@ def _torus_eigenvalue_ratio(config: ExperimentConfig, bundle: DatasetBundle) -> 
         return None
     eigenvalues = bundle.grid.torus_eigenvalues + (config.kernel or {}).get("jitter", 0.0)
     return float(eigenvalues.min() / eigenvalues.max())
-
-
-def _failure_report(method: str, seed: int, exc: Exception) -> RunReport:
-    return RunReport(
-        method=method,
-        seed=seed,
-        delta=None,
-        kappa=None,
-        collect_seconds=0.0,
-        burn_in_seconds=0.0,
-        ess_min=float("nan"),
-        ess_median=float("nan"),
-        ess_max=float("nan"),
-        acceptance_rate=float("nan"),
-        matvecs=0,
-        factorizations=0,
-        n_samples=0,
-        dimension=0,
-        error=f"{type(exc).__name__}: {exc}",
-    )
 
 
 def write_benchmark_outputs(result: BenchmarkResult, out_dir: str | Path, traces: bool = False) -> dict[str, Path]:

@@ -46,6 +46,7 @@ from .adaptation import BASELINE_TARGET_RATE, AdaptState, adapt_step
 from .samplers import (
     Chain,
     SamplerKind,
+    _guarded_ratio,
     draw_noised_gradient_aux,
     metropolis_step,
     mh_accept,
@@ -341,7 +342,8 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
             + chain.model.prior.logpdf(theta_prop)
             - chain.model.prior.logpdf(chain.theta)
         )
-    result = metropolis_step(state, new_prior, chain.target, rng, y, f_y, grad_y, latent_ratio + theta_ratio)
+    log_ratio = _guarded_ratio(latent_ratio, None, theta_ratio)
+    result = metropolis_step(state, new_prior, chain.target, rng, y, f_y, grad_y, log_ratio)
     if result.accepted:
         chain.theta, chain.prior, chain.ops = theta_prop, new_prior, new_ops
     return ThetaStepResult(result.accepted, theta_prop, theta_ratio)

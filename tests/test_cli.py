@@ -1,12 +1,12 @@
 """End-to-end command-line tests driven through main()."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from lgm.cli import build_parser, main
-from lgm.harness import run_benchmark, validate_config
 
 
 def write_json(path, payload):
@@ -28,6 +28,11 @@ def tiny_run_config(tmp_path, **overrides):
     return write_json(tmp_path / "config.json", raw)
 
 
+def read_runs_csv(out_dir):
+    with (out_dir / "runs.csv").open(newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
 class TestParser:
     def test_subcommands_registered(self):
         parser = build_parser()
@@ -36,8 +41,10 @@ class TestParser:
         args = parser.parse_args(["simulate", "s.json", "--seed", "7"])
         assert args.command == "simulate" and args.seed == 7
         assert parser.parse_args(["validate"]).command == "validate"
-        assert parser.parse_args(["tune", "c.json"]).command == "tune"
         assert parser.parse_args(["downsample", "x.csv"]).command == "downsample"
+        with pytest.raises(SystemExit) as exc:  # a run's tuned delta is the delta column of runs.csv
+            parser.parse_args(["tune", "c.json"])
+        assert exc.value.code == 2
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -46,7 +53,6 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["run", "c.json", "--threads", "2"],
         ["simulate", "s.json", "--threads", "1"], ["simulate", "s.json", "--trace"],
-        ["tune", "c.json", "--threads", "1"], ["tune", "c.json", "--trace"],
         ["validate", "--seed", "3"], ["validate", "--threads", "0"], ["validate", "--trace"],
         ["downsample", "x.csv", "--seed", "3"], ["downsample", "x.csv", "--threads", "1"],
         ["downsample", "x.csv", "--trace"],
@@ -137,11 +143,41 @@ class TestRunCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
 
-    @pytest.mark.parametrize("command", ["run", "tune"])
-    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys, command):
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
         config = tiny_run_config(tmp_path)
-        assert main([command, str(config), "--seed", "-5"]) == 2
+        assert main(["run", str(config), "--seed", "-5"]) == 2
         assert "--seed must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sampler, tuned", [("mgrad", True), ("ellipt", False)])
+    def test_runs_csv_holds_each_jobs_tuned_delta(self, tmp_path, sampler, tuned):
+        # the delta column is the step size burn-in froze; a slice kernel has none
+        config = tiny_run_config(tmp_path, samplers=[sampler], seeds=[0, 1])
+        assert main(["run", str(config)]) == 0
+        rows = read_runs_csv(tmp_path / "results")
+        reports = json.loads((tmp_path / "results" / "summary.json").read_text())["reports"]
+        assert [(row["seed"], report["seed"]) for row, report in zip(rows, reports)] == [("0", 0), ("1", 1)]
+        for row, report in zip(rows, reports):
+            if tuned:
+                assert float(row["delta"]) == report["delta"] > 0
+            else:
+                assert row["delta"] == "" and report["delta"] is None
+
+    @pytest.mark.parametrize("overrides", [
+        {"model": "cox", "simulate": {"side": 6, "seed": 2}, "samplers": ["mgrad"]},
+        {"samplers": ["agrad-z"], "hyper": {"mode": "joint"}, "R": 3},
+        {"samplers": ["agrad-z"], "hyper": {"mode": "gibbs"}, "R": 3},
+    ], ids=["cox", "joint", "gibbs"])
+    def test_the_tuned_delta_is_set_by_burn_in_alone(self, tmp_path, overrides):
+        # so a run with a short collect reports the delta at close to burn-in cost
+        deltas = []
+        for collect in (100, 300):
+            out_dir = tmp_path / f"collect{collect}"
+            config = tiny_run_config(tmp_path, collect=collect, out=str(out_dir), **overrides)
+            assert main(["run", str(config)]) == 0
+            (row,) = read_runs_csv(out_dir)
+            assert int(row["n_samples"]) == collect
+            deltas.append(float(row["delta"]))
+        assert deltas[0] == deltas[1] > 0
 
     @pytest.mark.parametrize("likelihood", [{"sigma2": -1}, {"sigma2": "abc"}, {"exposure": -1}, {"offset": "x"}])
     def test_bad_likelihood_value_is_a_config_error(self, tmp_path, capsys, likelihood):
@@ -177,36 +213,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert str(data) in err and "the counts grid must hold numbers" in err
 
-
-class TestTuneCommand:
-    def test_prints_deltas_and_writes_csv(self, tmp_path, capsys):
-        config = tiny_run_config(tmp_path, samplers=["mgrad"], burn_in=400)
-        out_dir = tmp_path / "tuned"
-        assert main(["tune", str(config), "--out", str(out_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "delta=" in out and "acceptance=" in out
-        lines = (out_dir / "tuning.csv").read_text().splitlines()
-        assert lines[0] == "method,seed,delta,acceptance_rate,warning"
-        assert lines[1].startswith("mgrad,0,")
-
-    def test_cox_tunes_the_chain_that_run_tunes(self, tmp_path):
-        config = tiny_run_config(tmp_path, model="cox", simulate={"side": 6, "seed": 2}, samplers=["mgrad"])
-        out_dir = tmp_path / "tuned"
-        assert main(["tune", str(config), "--out", str(out_dir)]) == 0
-        tuned = float((out_dir / "tuning.csv").read_text().splitlines()[1].split(",")[2])
-        raw = json.loads(config.read_text())
-        (report,) = run_benchmark(validate_config(raw), threads=1, write=False).reports
-        assert tuned == report.delta
-
-
-    @pytest.mark.parametrize("mode", ["joint", "gibbs"])
-    def test_hyperparameter_config_is_refused(self, tmp_path, capsys, mode):
-        # a theta run tunes delta inside its own sweeps, not on the fixed base prior that tune would use
-        config = tiny_run_config(tmp_path, samplers=["agrad-z"], hyper={"mode": mode}, R=3)
-        out_dir = tmp_path / "tuned"
-        assert main(["tune", str(config), "--out", str(out_dir)]) == 2
-        assert "config.hyper.mode" in capsys.readouterr().err
-        assert not out_dir.exists()
 
 class TestValidateCommand:
     def test_all_checks_pass(self, capsys):
@@ -274,6 +280,19 @@ class TestDownsampleCommand:
         err = capsys.readouterr().err
         assert message in err and "counts.manifest.json" in err
         assert not (tmp_path / "counts_down.csv").exists()
+
+    @pytest.mark.parametrize("cell, message", [
+        ("1.5", "data row 1, column 2 holds 1.5"),
+        ("-2", "data row 1, column 2 holds -2"),
+        ("abc", "the counts grid must hold numbers"),
+    ], ids=["fraction", "negative", "not-a-number"])
+    def test_a_count_that_is_not_a_nonnegative_integer_is_a_config_error(self, tmp_path, capsys, cell, message):
+        src = tmp_path / "counts.csv"
+        src.write_text(f"0,{cell},0,0\n" + "0,0,0,0\n" * 3, encoding="utf-8")
+        assert main(["downsample", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv"]
 
     def test_out_flag_redirects(self, tmp_path):
         src = tmp_path / "counts.csv"

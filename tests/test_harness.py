@@ -1,6 +1,7 @@
 """Benchmark harness tests: config schema, datasets, orchestration, outputs."""
 
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -472,15 +473,18 @@ class TestBenchmarkSingle:
         assert result.samples.shape == (200, 10)
 
     @pytest.mark.parametrize("mode", ["joint", "gibbs"])
-    def test_a_stuck_theta_run_reports_the_fixed_chains_burn_in_warning(self, mode):
-        # grad f is NaN everywhere, so every latent proposal is rejected
+    def test_a_stuck_theta_run_reports_the_fixed_chains_burn_in_warning(self, mode, caplog):
+        # grad f is NaN everywhere, so every latent proposal is rejected: its
+        # guarded ratio is -inf, and a NaN theta ratio added to it stays -inf
         prior = eigendecompose_covariance(make_spd(6, np.random.default_rng(9)))
         target = NanGradientTarget(6)
         config = validate_config(base_config(samplers=["agrad-z"], burn_in=200, collect=150, R=2, hyper={"mode": mode}))
-        theta_run = harness.run_hyper_chain(config, target, prior, seed=0, keep_samples=False)
-        fixed_run = benchmark_single(SamplerKind.AGRAD_Z, prior, target, seed=0, burn_in=200, collect=150)
+        with caplog.at_level(logging.WARNING, logger="lgm.samplers"):
+            theta_run = harness.run_hyper_chain(config, target, prior, seed=0, keep_samples=False)
+            fixed_run = benchmark_single(SamplerKind.AGRAD_Z, prior, target, seed=0, burn_in=200, collect=150)
         expected = "untunable: agrad-z acceptance stuck at 0 through the second half of burn-in"
         assert theta_run.report.warning == fixed_run.report.warning == expected
+        assert [r.getMessage() for r in caplog.records if "non-finite MH log-ratio" in r.getMessage()] == []
 
     def test_stream_keyed_by_kernel(self):
         assert len(set(KIND_STREAM_INDEX.values())) == len(SamplerKind)
@@ -538,6 +542,14 @@ class TestRunBenchmark:
         errors = [r for r in result.reports if r.error is not None]
         healthy = [r for r in result.reports if r.error is None]
         assert len(errors) == 2 and all(r.method == "pCN" for r in errors)
+        failed = errors[0].to_json_dict()
+        nan_keys = ("ess_min", "ess_median", "ess_max", "acceptance_rate", "min_ess_per_second", "min_ess_per_second_total")
+        assert all(math.isnan(failed.pop(key)) for key in nan_keys)
+        assert failed == {
+            "method": "pCN", "seed": 0, "delta": None, "kappa": None, "collect_seconds": 0.0, "burn_in_seconds": 0.0,
+            "matvecs": 0, "factorizations": 0, "n_samples": 0, "dimension": 0, "degenerate_coords": 0,
+            "warning": None, "error": "RuntimeError: injected failure", "schema_version": 1,
+        }
         assert len(healthy) == 2 and all(math.isfinite(r.ess_min) for r in healthy)
         assert [row["Method"] for row in result.summary_rows] == ["mGrad"]
 
