@@ -2,9 +2,9 @@
 
 The controller drives the empirical acceptance rate toward a fixed target
 (0.55 for gradient-informed kernels, 0.25 for pCN and for hyperparameter
-proposals) with diminishing updates c * t^{-0.6} * (accept - target).  After
-burn-in the step size never changes, so the collection phase is a fixed
-Markov kernel.
+proposals) with diminishing updates t^{-0.6} * (accept - target), one per
+acceptance indicator.  After burn-in the step size never changes, so the
+collection phase is a fixed Markov kernel.
 
 ``tune_and_freeze`` burns in every chain, fixed or theta, sweep by sweep
 (``Chain.sweep``), and one stuck rule covers both.
@@ -34,18 +34,11 @@ class AdaptState:
 
     log_delta: float
     target_rate: float
-    window: int = 1
     iteration: int = 0
-    gain: float = 1.0
-    frozen: bool = False
-    _pending_accepts: int = 0
-    _pending_count: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.target_rate < 1.0:
             raise ValueError(f"target_rate must be in (0,1), got {self.target_rate!r}")
-        if self.window < 1:
-            raise ValueError(f"window must be at least 1, got {self.window!r}")
 
     @property
     def delta(self) -> float:
@@ -59,22 +52,11 @@ def default_target_rate(kind: SamplerKind) -> float:
 def adapt_step(adapt: AdaptState, accepted: bool) -> AdaptState:
     """Fold one acceptance indicator into the controller.
 
-    Every ``window`` observations, moves log_delta by
-    gain * t^{-ADAPT_DECAY} * (batch acceptance - target), where t counts
-    updates.  A frozen controller takes no more updates: calling this on
-    one raises ValueError.
+    Moves log_delta by t^{-ADAPT_DECAY} * (accepted - target), where t
+    counts updates.
     """
-    if adapt.frozen:
-        raise ValueError("adapt_step called on a frozen controller")
-    adapt._pending_accepts += bool(accepted)
-    adapt._pending_count += 1
-    if adapt._pending_count < adapt.window:
-        return adapt
-    rate = adapt._pending_accepts / adapt._pending_count
-    adapt._pending_accepts = 0
-    adapt._pending_count = 0
     adapt.iteration += 1
-    adapt.log_delta += adapt.gain * adapt.iteration ** (-ADAPT_DECAY) * (rate - adapt.target_rate)
+    adapt.log_delta += adapt.iteration ** (-ADAPT_DECAY) * (accepted - adapt.target_rate)
     return adapt
 
 
@@ -87,7 +69,7 @@ class TuneResult:
     warning: str | None = None
 
 
-def tune_and_freeze(chain: Chain, burn_in: int, adapt: AdaptState | None = None) -> TuneResult:
+def tune_and_freeze(chain: Chain, burn_in: int) -> TuneResult:
     """Run ``burn_in`` adapted sweeps, freeze delta, return the history.
 
     delta adapts after every latent acceptance; a HyperChain also adapts its
@@ -102,8 +84,7 @@ def tune_and_freeze(chain: Chain, burn_in: int, adapt: AdaptState | None = None)
 
     tune = None
     if chain.kind is not SamplerKind.ELLIPT:
-        if adapt is None:
-            adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=default_target_rate(chain.kind))
+        adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=default_target_rate(chain.kind))
 
         def tune(accepted: bool) -> None:
             adapt_step(adapt, accepted)
@@ -111,8 +92,6 @@ def tune_and_freeze(chain: Chain, burn_in: int, adapt: AdaptState | None = None)
                 chain.set_delta(adapt.delta)
 
     trace = np.array([chain.sweep(tune) for _ in range(burn_in)], dtype=float)
-    if tune is not None:
-        adapt.frozen = True
     return TuneResult(delta=chain.delta, acceptance_trace=trace, warning=_stuck_warning(chain, trace))
 
 

@@ -132,7 +132,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_downsample(args: argparse.Namespace) -> int:
-    merged = down_sample_cox(_read_counts(args.counts))
+    counts = _read_counts(args.counts)
+    try:
+        merged = down_sample_cox(counts)
+    except ValueError as exc:  # an odd side, or one that would merge below 2
+        raise ConfigError(f"dataset file {args.counts}: {exc}") from exc
     manifest_path = args.counts.with_suffix(".manifest.json")
     manifest = _read_manifest(manifest_path, "cox") if manifest_path.exists() else None
     out_dir = args.out or args.counts.parent

@@ -34,11 +34,10 @@ TABLE_COLUMNS = (
 REPORT_SCHEMA_VERSION = 1
 
 
-def autocovariance(series: np.ndarray, max_lag: int | None = None) -> np.ndarray:
-    """Biased (1/T normalized) empirical autocovariance up to max_lag.
+def autocovariance(series: np.ndarray) -> np.ndarray:
+    """Biased (1/T normalized) empirical autocovariance up to lag min(T-1, 10000).
 
-    The default lag cap is min(T-1, 10000).  Computed by FFT; a constant
-    series returns exact zeros.
+    Computed by FFT; a constant series returns exact zeros.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -46,10 +45,7 @@ def autocovariance(series: np.ndarray, max_lag: int | None = None) -> np.ndarray
     t = x.shape[0]
     if t < 10:
         raise ValueError(f"series too short for autocovariance: length {t} < 10")
-    if max_lag is None:
-        max_lag = min(t - 1, MAX_ESS_LAG)
-    if not 0 <= max_lag < t:
-        raise ValueError(f"max_lag must be in [0, {t - 1}], got {max_lag!r}")
+    max_lag = min(t - 1, MAX_ESS_LAG)
     centered = x - x.mean()
     if not np.any(centered):
         return np.zeros(max_lag + 1)

@@ -30,13 +30,7 @@ import numpy as np
 
 from .adaptation import tune_and_freeze
 from .diagnostics import REPORT_SCHEMA_VERSION, TABLE_COLUMNS, RunReport, aggregate_reports, ess_geyer, summarize_run
-from .hyper import (
-    DEFAULT_LATENT_STEPS_PER_MOVE,
-    DEFAULT_THETA_PRIOR_VARIANCE,
-    GaussianHyperPrior,
-    HyperChain,
-    HyperModel,
-)
+from .hyper import DEFAULT_LATENT_STEPS_PER_MOVE, HyperChain, HyperModel
 from .samplers import DISPLAY_NAMES, Chain, SamplerKind
 from .spectral import DensePrior, OpCounter, SpectralPrior, TorusPrior, eigendecompose_covariance
 from .targets import (
@@ -58,6 +52,7 @@ DEFAULT_BURN_IN = 2000
 DEFAULT_COLLECT = 2000
 COX_DEFAULT_COLLECT = 5000
 MIN_COLLECT = 100
+DEFAULT_THETA_PRIOR_VARIANCE = 100.0
 
 DEFAULT_SIMULATE_SEED = 2026
 DEFAULT_INPUT_RANGE = (0.0, 10.0)
@@ -694,14 +689,13 @@ def benchmark_single(
     collect: int,
     thin: int = 1,
     keep_samples: bool = True,
-    x0: np.ndarray | None = None,
 ) -> SingleRunResult:
     """Tune, collect, and summarize one (sampler, seed) run at fixed hyperparameters.
 
     The chain's RNG stream is keyed by (seed, kernel index), so different
     kernels at the same seed never share draws.
     """
-    chain = Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]), x0=x0)
+    chain = Chain(kind, prior, target, np.random.default_rng([seed, KIND_STREAM_INDEX[kind]]))
     return _run_job(chain, DISPLAY_NAMES[kind], seed, burn_in, collect, thin, keep_samples)
 
 
@@ -716,7 +710,7 @@ def run_hyper_chain(
     the theta report fields.
     """
     hyper_cfg = config.hyper
-    model = HyperModel(base=prior, prior=GaussianHyperPrior.diffuse(1, variance=hyper_cfg["prior_variance"]))
+    model = HyperModel(base=prior, prior_variance=hyper_cfg["prior_variance"])
     rng = np.random.default_rng([seed, len(SamplerKind)])  # distinct from all fixed-kernel streams
     chain = HyperChain(
         model,

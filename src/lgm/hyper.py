@@ -67,57 +67,33 @@ from .targets import TargetModel
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_THETA_PRIOR_VARIANCE = 100.0
 DEFAULT_LATENT_STEPS_PER_MOVE = 10
 
 
 @dataclass(frozen=True)
-class GaussianHyperPrior:
-    """Independent Gaussian prior on the hyperparameter vector."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "variance", np.atleast_1d(np.asarray(self.variance, dtype=float)))
-        if self.mean.shape != self.variance.shape:
-            raise ValueError(
-                f"prior mean shape {self.mean.shape} does not match variance shape {self.variance.shape}"
-            )
-        if (self.variance <= 0).any():
-            raise ValueError("prior variances must be positive")
-
-    @classmethod
-    def diffuse(cls, dim: int, variance: float = DEFAULT_THETA_PRIOR_VARIANCE) -> "GaussianHyperPrior":
-        return cls(mean=np.zeros(dim), variance=np.full(dim, float(variance)))
-
-    def logpdf(self, theta: np.ndarray) -> float:
-        diff = np.atleast_1d(theta) - self.mean
-        return float(-0.5 * np.sum(np.log(2.0 * math.pi * self.variance) + diff**2 / self.variance))
-
-
-@dataclass(frozen=True)
 class HyperModel:
-    """The family C(theta) = e^theta[0] C0 plus the hyperparameter prior.
+    """The family C(theta) = e^theta[0] C0 plus the prior theta[0] ~ N(0, prior_variance).
 
     ``base`` is the decomposition of C0.  Every C(theta) is built on its
     basis with rescaled eigenvalues, so no theta needs a factorization.
     """
 
     base: SpectralPrior
-    prior: GaussianHyperPrior
+    prior_variance: float
 
     def __post_init__(self):
-        if self.prior.mean.shape != (1,):
-            raise ValueError(
-                f"the log-amplitude family has one hyperparameter, got a prior of shape {self.prior.mean.shape}"
-            )
+        if not self.prior_variance > 0.0:
+            raise ValueError(f"prior_variance must be positive, got {self.prior_variance!r}")
 
     @classmethod
-    def from_covariance(cls, cov: np.ndarray, prior: GaussianHyperPrior) -> "HyperModel":
+    def from_covariance(cls, cov: np.ndarray, prior_variance: float) -> "HyperModel":
         """Decompose the base covariance C0 once; see eigendecompose_covariance."""
-        return cls(base=eigendecompose_covariance(cov), prior=prior)
+        return cls(base=eigendecompose_covariance(cov), prior_variance=prior_variance)
+
+    def log_prior(self, theta: np.ndarray) -> float:
+        """log N(theta[0] | 0, prior_variance) by numpy, whose log ``math.log`` does not match bit for bit."""
+        variance = np.full(1, self.prior_variance)
+        return float(-0.5 * np.sum(np.log(2.0 * math.pi * variance) + theta**2 / variance))
 
     def covariance(self, theta: np.ndarray) -> SpectralPrior:
         """Decomposition of C(theta): the base basis with eigenvalues scaled by e^theta[0].
@@ -135,16 +111,6 @@ class HyperModel:
         if not scale > 0.0 or not np.isfinite(eigenvalues).all():
             raise ValueError(f"covariance scale e^theta = {scale:g} leaves the finite positive range")
         return dataclasses.replace(self.base, eigenvalues=eigenvalues)
-
-
-def log_evidence(z: np.ndarray, prior: SpectralPrior, delta: float, counter: OpCounter | None = None) -> float:
-    """log N(z | 0, C + (delta/2) I) in the prior's eigenbasis.
-
-    This is the marginal density of the noised-gradient auxiliary variable
-    under the prior, the quantity whose ratio carries all theta dependence
-    of the joint move beyond the latent factor.  Costs one matvec.
-    """
-    return spectral_log_evidence(to_spectral(prior, z, counter), prior, delta, float(z @ z))
 
 
 def spectral_log_evidence(uz: np.ndarray, prior: SpectralPrior, delta: float, z_sq: float) -> float:
@@ -235,10 +201,8 @@ class HyperChain(Chain):
             AdaptState(log_delta=math.log(self.kappa), target_rate=BASELINE_TARGET_RATE) if self.kappa > 0.0 else None
         )
         self.theta = np.atleast_1d(np.array(theta0, dtype=float, copy=True))
-        if self.theta.shape != self.model.prior.mean.shape:
-            raise ValueError(
-                f"theta0 shape {self.theta.shape} does not match prior shape {self.model.prior.mean.shape}"
-            )
+        if self.theta.shape != (1,):
+            raise ValueError(f"theta0 must have shape (1,), one log-amplitude; got {self.theta.shape}")
         super().__init__(SamplerKind.AGRAD_Z, model.covariance(self.theta), target, rng, delta)
         self.theta_accept_count = 0
         self.theta_step_count = 0
@@ -339,8 +303,8 @@ def step_joint_x_theta(chain: HyperChain) -> ThetaStepResult:
         theta_ratio = (
             spectral_log_evidence(uz, new_prior, new_ops.delta, z_sq)
             - spectral_log_evidence(uz, chain.prior, chain.ops.delta, z_sq)
-            + chain.model.prior.logpdf(theta_prop)
-            - chain.model.prior.logpdf(chain.theta)
+            + chain.model.log_prior(theta_prop)
+            - chain.model.log_prior(chain.theta)
         )
     log_ratio = _guarded_ratio(latent_ratio, None, theta_ratio)
     result = metropolis_step(state, new_prior, chain.target, rng, y, f_y, grad_y, log_ratio)
@@ -368,7 +332,7 @@ def step_gibbs_theta(chain: HyperChain) -> ThetaStepResult:
         lp_old = prior_state_logpdf(chain.prior, x, ux, chain.counter)
         lp_new = lp_old if lp_old == -math.inf else _range_logpdf(new_prior, float(ux**2 @ new_prior.pinv_eigenvalues))
         theta_ratio = (
-            lp_new - lp_old + chain.model.prior.logpdf(theta_prop) - chain.model.prior.logpdf(chain.theta)
+            lp_new - lp_old + chain.model.log_prior(theta_prop) - chain.model.log_prior(chain.theta)
         )
     accepted = mh_accept(theta_ratio, chain.rng)
     if accepted:

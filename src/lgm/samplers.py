@@ -179,30 +179,28 @@ def init_chain_state(
     prior: SpectralPrior,
     ops: DeltaOperators | None,
     target: TargetModel,
-    counter: OpCounter | None = None,
 ) -> ChainState:
     """Evaluate the target at x0 and populate the caches ``kind`` maintains."""
     kind = SamplerKind(kind)
     x0 = np.array(x0, dtype=float, copy=True)
     if x0.shape != (prior.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({prior.dimension},)")
-    counter = counter if counter is not None else OpCounter()
     f0, g0 = _lifted_evaluate(prior, target, x0)
     if not np.isfinite(f0):
         raise ValueError(f"initial state has non-finite log-likelihood {f0!r}")
-    state = ChainState(x=x0, f_x=f0, grad_x=g0, counter=counter, likelihood_evals=1)
+    state = ChainState(x=x0, f_x=f0, grad_x=g0, likelihood_evals=1)
     if kind in (SamplerKind.AGRAD_U, SamplerKind.PCNL):
-        state.ugrad_x = to_spectral(prior, g0, counter)
+        state.ugrad_x = to_spectral(prior, g0, state.counter)
         if kind is SamplerKind.PCNL:
             state.gamma_ugrad_x, state.grad_quad_x = _pcnl_gradient_terms(prior, state.ugrad_x)
     elif kind in (SamplerKind.MGRAD, SamplerKind.PMALA):
-        state.ux = to_spectral(prior, x0, counter)
-        state.ugrad_x = to_spectral(prior, g0, counter)
+        state.ux = to_spectral(prior, x0, state.counter)
+        state.ugrad_x = to_spectral(prior, g0, state.counter)
         if kind is SamplerKind.MGRAD:
             state.prop_mean_spec = _mgrad_proposal_mean(ops, state.ux, state.ugrad_x)
             state.ratio_anchor_spec = _mgrad_ratio_anchor(ops, state.ux, state.ugrad_x)
         else:
-            state.prior_quad_x = prior_quad_form(prior, x0, state.ux, counter)
+            state.prior_quad_x = prior_quad_form(prior, x0, state.ux, state.counter)
     return state
 
 
@@ -583,7 +581,6 @@ class Chain:
         rng: np.random.Generator,
         delta: float | None = None,
         x0: np.ndarray | None = None,
-        counter: OpCounter | None = None,
     ):
         self.kind = SamplerKind(kind)
         if target.dimension != prior.observed_dimension:
@@ -602,7 +599,7 @@ class Chain:
             if delta is None:
                 delta = DEFAULT_INITIAL_DELTA[self.kind]
             self.ops = build_delta_operators(prior, delta)
-        self.state = init_chain_state(self.kind, x0, prior, self.ops, target, counter)
+        self.state = init_chain_state(self.kind, x0, prior, self.ops, target)
 
     @property
     def delta(self) -> float | None:

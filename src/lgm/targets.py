@@ -48,19 +48,6 @@ class TargetModel(ABC):
         return None
 
 
-class ConstantTarget(TargetModel):
-    """f identically zero; the posterior is the prior.  Used by tests."""
-
-    def __init__(self, dimension: int):
-        self.dimension = int(dimension)
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return 0.0, np.zeros_like(x)
-
-    def log_likelihood(self, x: np.ndarray) -> float:
-        return 0.0
-
-
 class GaussianRegression(TargetModel):
     """Gaussian observations y_i ~ N(x_i, noise_variance)."""
 
@@ -133,15 +120,9 @@ class PoissonCounts(TargetModel):
     cell area and ``offset`` the constant log-intensity shift.  Counts are
     stored flattened in row-major order.  The Poisson y! normalizer is
     dropped; it does not depend on x.
-
-    ``exposure`` is one positive number for every cell, or one nonnegative
-    number per cell.  A cell of zero exposure must hold zero counts; its
-    f-term and gradient are zero while exp(x_j + offset) is finite, and NaN
-    once it overflows, so such cells are no way to pad a latent field (a
-    chain hands the likelihood ``SpectralPrior.observed(x)`` instead).
     """
 
-    def __init__(self, counts: np.ndarray, exposure: float | np.ndarray, offset: float):
+    def __init__(self, counts: np.ndarray, exposure: float, offset: float):
         counts = np.asarray(counts, dtype=float)
         if counts.ndim == 2:
             counts = counts.reshape(-1)
@@ -149,18 +130,10 @@ class PoissonCounts(TargetModel):
             raise ValueError(f"counts must be a vector or matrix, got shape {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        if np.ndim(exposure) == 0:
-            if exposure <= 0.0:
-                raise ValueError(f"exposure must be positive, got {exposure!r}")
-            exposure = float(exposure)
-        else:
-            exposure = np.asarray(exposure, dtype=float).reshape(-1)
-            if exposure.shape != counts.shape or (exposure < 0).any():
-                raise ValueError(f"per-cell exposure must be nonnegative with shape {counts.shape}")
-            if (counts[exposure == 0.0] > 0).any():
-                raise ValueError("a cell of zero exposure cannot hold counts")
+        if not exposure > 0.0:
+            raise ValueError(f"exposure must be positive, got {exposure!r}")
         self.counts = counts
-        self.exposure = exposure
+        self.exposure = float(exposure)
         self.offset = float(offset)
         self.dimension = counts.shape[0]
 

@@ -6,11 +6,25 @@ import scipy.linalg
 
 from lgm.samplers import Chain
 from lgm.spectral import DensePrior, from_spectral, to_spectral
+from lgm.targets import TargetModel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+class ConstantTarget(TargetModel):
+    """f identically zero; the posterior is the prior."""
+
+    def __init__(self, dimension: int):
+        self.dimension = int(dimension)
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return 0.0, np.zeros_like(x)
+
+    def log_likelihood(self, x: np.ndarray) -> float:
+        return 0.0
 
 
 def make_spd(n: int, rng: np.random.Generator, spread: float = 10.0) -> np.ndarray:

@@ -14,10 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from lgm.adaptation import AdaptState, tune_and_freeze
+from lgm.adaptation import tune_and_freeze
 from lgm.diagnostics import ess_geyer
 from lgm.harness import KIND_STREAM_INDEX, benchmark_single, down_sample_cox, simulate_dataset
-from lgm.hyper import GaussianHyperPrior, HyperChain, HyperModel
+from lgm.hyper import HyperChain, HyperModel
 from lgm.oracle import (
     asymptotic_variance,
     battery_functions,
@@ -193,10 +193,10 @@ def _moment_budget(kind: SamplerKind, sigma2: float) -> tuple[int, int, int]:
 def _worst_moment_z(kind, sigma2, prior, target, y) -> float:
     post_mean, post_var = posterior_coordinate_moments(prior, sigma2, y)
     burn_in, collect, thin = _moment_budget(kind, sigma2)
-    result = benchmark_single(
-        kind, prior, target, seed=0, burn_in=burn_in, collect=collect, thin=thin, x0=post_mean
-    )
-    samples = result.samples
+    # benchmark_single's chain at seed 0, without its run summary
+    chain = Chain(kind, prior, target, np.random.default_rng([0, KIND_STREAM_INDEX[kind]]), x0=post_mean)
+    tune_and_freeze(chain, burn_in)
+    samples = chain.sample(collect, thin)
     worst = 0.0
     for j in range(samples.shape[1]):
         col = samples[:, j]
@@ -308,8 +308,8 @@ def test_08_per_iteration_operation_budgets():
     for kind, per_step in expected.items():
         if MATVEC_BUDGET[kind] != per_step:
             failures.append(f"{kind.value}: declared budget {MATVEC_BUDGET[kind]} != {per_step}")
-        counter = OpCounter()
-        chain = Chain(kind, prior, target, np.random.default_rng(KIND_STREAM_INDEX[kind]), counter=counter)
+        chain = Chain(kind, prior, target, np.random.default_rng(KIND_STREAM_INDEX[kind]))
+        counter = chain.counter
         counter.reset()
         chain.run(steps)
         if counter.matvecs != steps * per_step:
@@ -328,8 +328,7 @@ def test_09_grid_poisson_tuning_band_and_downsampling():
     for kind in sorted(GRADIENT_KINDS, key=lambda k: k.value):
         rng = np.random.default_rng([0, KIND_STREAM_INDEX[kind]])
         chain = Chain(kind, prior16, bundle16.target, rng)
-        adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=0.55, window=25)
-        tune_and_freeze(chain, 15_000, adapt=adapt)
+        tune_and_freeze(chain, 15_000)
         rate = chain.run(5000) / 5000
         if not 0.50 <= rate <= 0.60:
             failures.append(f"{kind.value}: post-tuning acceptance {rate:.3f} outside [0.50, 0.60]")
@@ -351,8 +350,7 @@ def test_09_grid_poisson_tuning_band_and_downsampling():
         for prior, target, label in ((prior32, fine.target, 32), (prior16, target16, 16)):
             rng = np.random.default_rng([seed, KIND_STREAM_INDEX[SamplerKind.MGRAD]])
             chain = Chain(SamplerKind.MGRAD, prior, target, rng)
-            adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=0.55, window=25)
-            deltas[label] = tune_and_freeze(chain, 5000, adapt=adapt).delta
+            deltas[label] = tune_and_freeze(chain, 5000).delta
         direction_hits += deltas[16] < deltas[32]
     if direction_hits < 8:
         failures.append(f"coarser-grid-smaller-delta direction held in only {direction_hits}/10 seeds, need 8")
@@ -373,7 +371,7 @@ def test_10_hyperparameter_posterior_recovery():
     if abs(quad_mean - (-0.201920)) > 2e-4:
         failures.append(f"quadrature oracle drifted: E[theta|y] = {quad_mean:.6f}, expected -0.201920")
 
-    model = HyperModel.from_covariance(np.eye(1), GaussianHyperPrior(mean=np.zeros(1), variance=np.ones(1)))
+    model = HyperModel.from_covariance(np.eye(1), 1.0)
     target = GaussianRegression(np.array([y_obs]), noise)
     for mode_index, mode in enumerate(("joint", "gibbs")):
         means, variances = [], []
@@ -394,7 +392,7 @@ def test_10_hyperparameter_posterior_recovery():
 
     gen = np.random.default_rng(6)
     base = make_spd(8, gen, spread=4.0)
-    scaled_model = HyperModel.from_covariance(base, GaussianHyperPrior.diffuse(1))
+    scaled_model = HyperModel.from_covariance(base, 100.0)
     small_target = GaussianRegression(gen.standard_normal(8), 0.5)
     plain = Chain(
         SamplerKind.AGRAD_Z,

@@ -1,4 +1,4 @@
-"""Step size controller tests: update rule, batching, freezing, tuning."""
+"""Step size controller tests: update rule and tuning."""
 
 import math
 
@@ -15,9 +15,9 @@ from lgm.adaptation import (
 )
 from lgm.samplers import Chain, SamplerKind
 from lgm.spectral import eigendecompose_covariance
-from lgm.targets import ConstantTarget, GaussianRegression
+from lgm.targets import GaussianRegression
 
-from conftest import make_spd
+from conftest import ConstantTarget, make_spd
 
 
 class TestAdaptState:
@@ -28,15 +28,14 @@ class TestAdaptState:
     def test_validation(self):
         with pytest.raises(ValueError, match="target_rate"):
             AdaptState(log_delta=0.0, target_rate=1.5)
-        with pytest.raises(ValueError, match="window"):
-            AdaptState(log_delta=0.0, target_rate=0.5, window=0)
 
     def test_single_update_arithmetic(self):
-        adapt = AdaptState(log_delta=0.0, target_rate=0.55, gain=2.0)
+        adapt = AdaptState(log_delta=0.0, target_rate=0.55)
         adapt_step(adapt, True)
-        assert adapt.log_delta == pytest.approx(2.0 * (1.0 - 0.55))
+        assert adapt.log_delta == pytest.approx(1.0 - 0.55)
         adapt_step(adapt, False)
-        assert adapt.log_delta == pytest.approx(2.0 * 0.45 + 2.0 * 2 ** (-0.6) * (0.0 - 0.55))
+        assert adapt.log_delta == pytest.approx(0.45 + 2 ** (-0.6) * (0.0 - 0.55))
+        assert adapt.iteration == 2
 
     def test_acceptance_raises_step_size_rejection_lowers_it(self):
         up = AdaptState(log_delta=0.0, target_rate=0.5)
@@ -45,20 +44,6 @@ class TestAdaptState:
         down = AdaptState(log_delta=0.0, target_rate=0.5)
         adapt_step(down, False)
         assert down.log_delta < 0
-
-    def test_window_batches_observations(self):
-        adapt = AdaptState(log_delta=0.0, target_rate=0.5, window=4, gain=1.0)
-        for accepted in (True, True, False):
-            adapt_step(adapt, accepted)
-            assert adapt.log_delta == 0.0  # no update until the window fills
-        adapt_step(adapt, True)
-        assert adapt.log_delta == pytest.approx(0.75 - 0.5)
-        assert adapt.iteration == 1
-
-    def test_frozen_controller_rejects_updates(self):
-        adapt = AdaptState(log_delta=0.0, target_rate=0.5, frozen=True)
-        with pytest.raises(ValueError, match="frozen"):
-            adapt_step(adapt, True)
 
     def test_converges_on_synthetic_acceptance_curve(self):
         # accept with probability 1/(1+delta); the 0.25 target sits at delta=3
@@ -126,10 +111,14 @@ class TestTuneAndFreeze:
         assert result.warning is not None
         assert "untunable" in result.warning
 
-    def test_custom_controller_honored(self):
-        chain = self.make_conjugate_chain(SamplerKind.MGRAD, seed=3)
-        adapt = AdaptState(log_delta=math.log(chain.delta), target_rate=0.55, window=25)
-        result = tune_and_freeze(chain, burn_in=2000, adapt=adapt)
-        assert adapt.frozen
-        assert adapt.iteration == 2000 // 25
-        assert result.delta == pytest.approx(adapt.delta)
+    def test_delta_takes_one_update_per_acceptance(self):
+        tuned = self.make_conjugate_chain(SamplerKind.MGRAD, seed=3)
+        result = tune_and_freeze(tuned, burn_in=2000)
+        by_hand = self.make_conjugate_chain(SamplerKind.MGRAD, seed=3)
+        adapt = AdaptState(log_delta=math.log(by_hand.delta), target_rate=GRADIENT_TARGET_RATE)
+        for _ in range(2000):
+            adapt_step(adapt, by_hand.step().accepted)
+            by_hand.set_delta(adapt.delta)
+        assert adapt.iteration == 2000
+        assert result.delta == adapt.delta
+        assert np.array_equal(tuned.state.x, by_hand.state.x)

@@ -254,17 +254,21 @@ class TestDownsampleCommand:
         assert manifest["cell_area"] == pytest.approx(4 / 16)
         assert manifest["scale_divisor"] == pytest.approx(2.0)
 
-    def test_odd_grid_rejected(self, tmp_path):
+    def test_odd_grid_rejected(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         np.savetxt(src, np.zeros((3, 3)), fmt="%d", delimiter=",")
-        assert main(["downsample", str(src)]) == 1
+        assert main(["downsample", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(src) in err and "must be even" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
     def test_grid_that_would_merge_below_side_2_is_refused_before_writing(self, tmp_path, capsys):
         src = tmp_path / "counts.csv"
         np.savetxt(src, np.ones((2, 2)), fmt="%d", delimiter=",")
         write_json(tmp_path / "counts.manifest.json", {"side": 2, "cell_area": 0.25})
-        assert main(["downsample", str(src)]) == 1
-        assert "merged side 1" in capsys.readouterr().err
+        assert main(["downsample", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(src) in err and "merged side 1" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "counts.manifest.json"]
 
     @pytest.mark.parametrize("text, message", [

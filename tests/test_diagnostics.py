@@ -27,23 +27,25 @@ def ar1(t, rho, rng, scale=1.0):
 class TestAutocovariance:
     def test_matches_direct_computation(self, rng):
         x = rng.standard_normal(300)
-        acov = autocovariance(x, max_lag=20)
+        acov = autocovariance(x)
+        assert acov.shape == (300,)
         centered = x - x.mean()
         for lag in range(21):
             direct = np.sum(centered[: 300 - lag] * centered[lag:]) / 300
             assert acov[lag] == pytest.approx(direct, abs=1e-12)
 
     def test_constant_series_gives_zeros(self):
-        acov = autocovariance(np.full(50, 3.0), max_lag=5)
-        np.testing.assert_array_equal(acov, np.zeros(6))
+        acov = autocovariance(np.full(50, 3.0))
+        np.testing.assert_array_equal(acov, np.zeros(50))
+
+    def test_lags_stop_at_10000(self, rng):
+        assert autocovariance(rng.standard_normal(12_000)).shape == (10_001,)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="one-dimensional"):
             autocovariance(rng.standard_normal((10, 2)))
         with pytest.raises(ValueError, match="too short"):
             autocovariance(np.arange(5.0))
-        with pytest.raises(ValueError, match="max_lag"):
-            autocovariance(rng.standard_normal(20), max_lag=20)
 
 
 class TestEssGeyer:

@@ -31,7 +31,7 @@ from lgm.harness import (
 )
 from lgm.samplers import DISPLAY_NAMES, MATVEC_BUDGET, Chain, SamplerKind
 from lgm.spectral import TorusPrior, eigendecompose_covariance
-from lgm.targets import GaussianRegression, PoissonCounts, TargetModel, squared_exponential_kernel
+from lgm.targets import GaussianRegression, TargetModel, squared_exponential_kernel
 
 from conftest import make_spd
 
@@ -199,6 +199,12 @@ def bad_numbers():
                 yield pytest.param(section, variant, key, placed, id=f"{section}-{variant}-{key}-{label}")
 
 
+def readme_blocks(language: str) -> list[str]:
+    """The README's fenced code blocks of one language."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{language}\n(.*?)```", readme, flags=re.DOTALL)
+
+
 class TestFieldTables:
     @pytest.mark.parametrize("section, variant, key, value", bad_numbers())
     def test_every_numeric_key_refuses_non_finite_mistyped_and_out_of_bound_values(
@@ -222,11 +228,16 @@ class TestFieldTables:
                                  "amplitude": None, "scale_divisor": None}
 
     def test_every_json_config_block_in_the_readme_validates(self, tmp_path):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        blocks = readme_blocks("json")
         assert len(blocks) >= 3
         for block in blocks:
             validate_config(json.loads(block), base_dir=tmp_path)
+
+    def test_the_python_example_in_the_readme_runs(self):
+        (block,) = readme_blocks("python")
+        namespace = {}
+        exec(block, namespace)
+        assert namespace["samples"].shape == (5000, 200)
 
 
 class TestSimulateSpec:
@@ -608,11 +619,13 @@ class TestCoxPriorRoute:
         bundle, prior = harness.dataset_and_prior(cox_config({"side": 6, "seed": 2}))
         target = bundle.target
         assert isinstance(prior, TorusPrior) and target.dimension == prior.observed_dimension == 36
-        # reference: the grid padded to the torus with zero counts and zero exposure
-        exposure = prior.embed(np.broadcast_to(target.exposure, target.counts.shape))
-        padded = PoissonCounts(prior.embed(target.counts), exposure=exposure, offset=target.offset)
+        # reference: the Poisson terms of every torus cell, with the padding cells' terms weighted by 0
+        observed = prior.embed(np.ones(36))
         x = np.random.default_rng(0).standard_normal(144)
-        f, grad = padded.evaluate(x)
+        log_intensity = x + target.offset
+        rate = target.exposure * np.exp(log_intensity)
+        f = float(np.sum(observed * (prior.embed(target.counts) * log_intensity - rate)))
+        grad = observed * (prior.embed(target.counts) - rate)
         state = Chain(SamplerKind.MGRAD, prior, target, np.random.default_rng(0), x0=x).state
         assert state.f_x == pytest.approx(f, rel=1e-13)
         np.testing.assert_array_equal(state.grad_x, grad)

@@ -17,10 +17,17 @@ from lgm.samplers import (
     mh_accept,
     propose_given_noised_gradient_aux,
 )
-from lgm.spectral import OpCounter, TorusPrior, build_delta_operators, eigendecompose_covariance, from_spectral
-from lgm.targets import BernoulliLogit, ConstantTarget, GaussianRegression, GridKernel, TargetModel
+from lgm.spectral import TorusPrior, build_delta_operators, eigendecompose_covariance, from_spectral
+from lgm.targets import BernoulliLogit, GaussianRegression, GridKernel, TargetModel
 
-from conftest import check_state_coherence, full_basis_prior, make_singular_psd, make_spd, null_directions
+from conftest import (
+    ConstantTarget,
+    check_state_coherence,
+    full_basis_prior,
+    make_singular_psd,
+    make_spd,
+    null_directions,
+)
 
 ALL_KINDS = list(SamplerKind)
 MH_KINDS = [k for k in ALL_KINDS if k is not SamplerKind.ELLIPT]
@@ -369,8 +376,8 @@ class TestChainMechanics:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matvec_budget_exact(self, kind):
         rng = np.random.default_rng(13)
-        counter = OpCounter()
-        chain = make_chain(kind, rng, counter=counter)
+        chain = make_chain(kind, rng)
+        counter = chain.counter
         counter.reset()
         chain.run(40)
         assert counter.matvecs == 40 * MATVEC_BUDGET[kind]

@@ -164,7 +164,7 @@ def test_chain_rejects_a_target_that_is_not_the_observed_cells():
 
 @pytest.mark.parametrize("kind", list(SamplerKind))
 def test_a_large_padding_cell_leaves_f_and_its_gradient_alone(kind):
-    # exp(800) overflows: a zero-exposure padding cell would make f NaN
+    # exp(800) overflows: a likelihood that read the padding cells would not be finite
     prior = eigendecompose_covariance(grid_kernel(6))
     target = grid_counts(6)
     x0 = prior.embed(np.random.default_rng(0).standard_normal(36))
